@@ -1,9 +1,12 @@
 """Weighted global Arnoldi process over block vectors.
 
 Builds a weight-orthonormal block basis for the matrix Krylov subspace of a
-Sylvester operator by modified Gram-Schmidt in the weighted inner product,
-with one norm-drop-triggered reorthogonalization sweep.  The recurrence
-coefficients land in a quasi upper Hessenberg matrix of shape (j+1) x j.
+Sylvester operator by classical Gram-Schmidt with reorthogonalization in the
+weighted inner product (Giraud, Langou, Rozloznik and van den Eshof, Numer.
+Math. 2005): each sweep takes every coefficient with one diamond product and
+removes them with one basis combination.  The recurrence coefficients land
+in a quasi upper Hessenberg matrix of shape (j+1) x j.  The basis of a cycle
+is one read-only C-ordered (j+1, n, s) array.
 
 The process can also continue from a retained prefix (the deflated-restart
 case): new blocks are orthogonalized against every existing block in the
@@ -21,7 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .core import as_block, diamond_product, weighted_inner, weighted_norm
+# weighted_inner is no longer called here; it stays importable from this
+# module because solvebench's tracer wraps it under this name.
+from .core import as_block, basis_combine, diamond_product, weighted_inner, weighted_norm  # noqa: F401
 
 __all__ = ["ArnoldiDecomposition", "arnoldi_run", "arnoldi_extend"]
 
@@ -31,23 +36,19 @@ BREAKDOWN_TOL = 1e-14
 _REORTH_DROP = math.sqrt(0.5)
 
 
-def _frozen(block):
-    block = np.asarray(block)
-    block.flags.writeable = False
-    return block
-
-
 @dataclass
 class ArnoldiDecomposition:
     """Block basis V_1..V_{j+1} with its (j+1) x j recurrence matrix.
 
-    ``weight_tags[i]`` names the weight under which block i was produced.
-    ``breakdown`` is the 1-based step at which the subdiagonal coefficient
-    vanished, if it did; the basis then has one block fewer than usual and
-    the last row of ``h`` is (numerically) zero.
+    ``basis`` is a (j+1, n, s) array (or, for a hand-built prefix, a list of
+    (n, s) blocks); ``basis[i]`` is block i.  ``weight_tags[i]`` names the
+    weight under which block i was produced.  ``breakdown`` is the 1-based
+    step at which the subdiagonal coefficient vanished, if it did; the basis
+    then has one block fewer than usual and the last row of ``h`` is
+    (numerically) zero.
     """
 
-    basis: list = field(default_factory=list)
+    basis: np.ndarray | list = field(default_factory=list)
     h: np.ndarray = field(default_factory=lambda: np.zeros((1, 0)))
     weight_tags: list = field(default_factory=list)
     breakdown: int | None = None
@@ -57,40 +58,34 @@ class ArnoldiDecomposition:
         return self.h.shape[1]
 
 
-def _orthogonalize(w, basis, weight, prefix_solve=None, prefix_count=0):
-    """Make ``w`` weight-orthogonal to every block in ``basis``.
+def _sweep(w, basis, weight, prefix_solve, prefix_count):
+    """One classical Gram-Schmidt sweep: all coefficients, then one update."""
+    t = diamond_product(basis, w[None], weight)[:, 0]
+    if prefix_solve is not None:
+        t[:prefix_count] = prefix_solve(t[:prefix_count])
+    return t, w - basis_combine(basis, t)
 
-    Blocks beyond ``prefix_count`` are orthonormal in ``weight`` and handled
-    by modified Gram-Schmidt.  The leading ``prefix_count`` blocks may fail to
-    be orthonormal in ``weight`` (a restart prefix carried across a weight
-    change); their component is removed by an oblique projection through the
-    prefix Gram matrix, applied by ``prefix_solve``.  One full
-    reorthogonalization sweep runs whenever a non-trivial prefix is present,
-    otherwise when the norm drops below 1/sqrt(2) of its starting value.
+
+def _orthogonalize(w, basis, weight, prefix_solve=None, prefix_count=0):
+    """Make ``w`` weight-orthogonal to every block of the stacked ``basis``.
+
+    Classical Gram-Schmidt with reorthogonalization.  Blocks beyond
+    ``prefix_count`` are orthonormal in ``weight``.  The leading
+    ``prefix_count`` blocks may fail to be orthonormal in ``weight`` (a
+    restart prefix carried across a weight change), but every later block was
+    made orthogonal to them in ``weight``, so the Gram matrix of ``basis`` is
+    block diagonal: the prefix coefficients go through ``prefix_solve`` (an
+    oblique projection through the prefix Gram matrix) and the others are
+    used as they are.  A second sweep runs whenever a non-trivial prefix is
+    present, otherwise when the norm drops below 1/sqrt(2) of its starting
+    value.
     """
     before = weighted_norm(w, weight)
-    coeffs = np.zeros(len(basis))
-
-    def sweep(w):
-        if prefix_solve is not None:
-            b = np.array([weighted_inner(w, basis[i], weight) for i in range(prefix_count)])
-            z = prefix_solve(b)
-            for i in range(prefix_count):
-                w = w - z[i] * basis[i]
-            coeffs[:prefix_count] += z
-            start = prefix_count
-        else:
-            start = 0
-        for i in range(start, len(basis)):
-            t = weighted_inner(w, basis[i], weight)
-            coeffs[i] += t
-            w = w - t * basis[i]
-        return w
-
-    w = sweep(w)
+    coeffs, w = _sweep(w, basis, weight, prefix_solve, prefix_count)
     after = weighted_norm(w, weight)
     if prefix_solve is not None or after < _REORTH_DROP * before:
-        w = sweep(w)
+        extra, w = _sweep(w, basis, weight, prefix_solve, prefix_count)
+        coeffs += extra
         after = weighted_norm(w, weight)
     return coeffs, w, after
 
@@ -112,7 +107,7 @@ def arnoldi_run(op, v, weight, m):
     beta = weighted_norm(v, weight)
     if beta == 0.0:
         raise ValueError("start block must be nonzero")
-    seed = ArnoldiDecomposition([_frozen(v / beta)], np.zeros((1, 0)), [weight.tag])
+    seed = ArnoldiDecomposition((v / beta)[None], np.zeros((1, 0)), [weight.tag])
     return arnoldi_extend(seed, op, weight, 1, m)
 
 
@@ -135,17 +130,19 @@ def arnoldi_extend(dec, op, weight, from_j, to_m):
     if to_m < from_j:
         raise ValueError(f"cannot extend from {from_j} blocks to {to_m} steps")
 
-    basis = list(dec.basis)
-    tags = list(dec.weight_tags)
+    prefix = np.asarray(dec.basis, dtype=np.float64)
+    basis = np.empty((to_m + 1,) + prefix.shape[1:])
+    basis[:from_j] = prefix
+    size = from_j
     h = np.zeros((to_m + 1, to_m))
     h[: from_j, : from_j - 1] = dec.h
     hmax = max(1.0, float(np.abs(dec.h).max()) if dec.h.size else 0.0)
     breakdown = None
-    prefix_solve, prefix_count = _prefix_projector(basis, weight)
+    prefix_solve, prefix_count = _prefix_projector(prefix, weight)
 
     for col in range(from_j - 1, to_m):
         w = op.apply(basis[col])
-        coeffs, w, nrm = _orthogonalize(w, basis, weight, prefix_solve, prefix_count)
+        coeffs, w, nrm = _orthogonalize(w, basis[:size], weight, prefix_solve, prefix_count)
         h[: col + 1, col] = coeffs
         h[col + 1, col] = nrm
         hmax = max(hmax, float(np.abs(coeffs).max()) if coeffs.size else 0.0, nrm)
@@ -153,15 +150,17 @@ def arnoldi_extend(dec, op, weight, from_j, to_m):
             breakdown = col + 1
             h = h[: col + 2, : col + 1]
             break
-        basis.append(_frozen(w / nrm))
-        tags.append(weight.tag)
+        np.divide(w, nrm, out=basis[size])
+        size += 1
 
-    return ArnoldiDecomposition(basis, h, tags, breakdown)
+    basis.flags.writeable = False
+    tags = list(dec.weight_tags) + [weight.tag] * (size - from_j)
+    return ArnoldiDecomposition(basis[:size], h, tags, breakdown)
 
 
 def _prefix_projector(prefix, weight):
     """Solver for the prefix Gram system, or None when the prefix is already
-    orthonormal in ``weight`` (then plain MGS suffices)."""
+    orthonormal in ``weight`` (then plain Gram-Schmidt suffices)."""
     gram = diamond_product(prefix, prefix, weight)
     if np.abs(gram - np.eye(len(prefix))).max() <= 1e-12:
         return None, 0

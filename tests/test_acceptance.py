@@ -396,7 +396,7 @@ def test_criterion_9_exit_honesty():
             audited += 1
             true_rel = frob(c - apply_sylvester(op, report.x)) / frob(c)
             worst_ratio = max(worst_ratio, true_rel / cfg.tol)
-    _report(9, audited >= 20 and worst_ratio <= 10.0,
+    _report(9, audited >= 20 and worst_ratio <= 1.0,
             f"(worst residual/tol ratio {worst_ratio:.2f} over {audited} converged runs)")
 
 

@@ -1,11 +1,19 @@
 """Weighted global Arnoldi process."""
 
+import math
+
 import numpy as np
 import pytest
 
 from sylgmres import SylvesterOperator, Weight, WeightStrategy, make_weight
-from sylgmres.arnoldi import ArnoldiDecomposition, arnoldi_extend, arnoldi_run
-from sylgmres.core import apply_sylvester, diamond_product, frob, weighted_norm
+from sylgmres.arnoldi import (
+    ArnoldiDecomposition,
+    _orthogonalize,
+    _prefix_projector,
+    arnoldi_extend,
+    arnoldi_run,
+)
+from sylgmres.core import apply_sylvester, diamond_product, frob, weighted_inner, weighted_norm
 from sylgmres.dense import hessenberg_lsq
 from sylgmres.solver import harmonic_pairs, restart_subspace, select_and_realify
 
@@ -182,3 +190,88 @@ class TestHappyBreakdown:
         x = sum(sol.y[i] * dec.basis[i] for i in range(cols))
         resid = frob(c_rhs - apply_sylvester(op, x))
         assert resid <= 1e-8 * frob(c_rhs)
+
+
+def mgs_orthogonalize(w, basis, weight, prefix_solve=None, prefix_count=0):
+    """Reference: the per-block modified Gram-Schmidt loop that classical
+    Gram-Schmidt with reorthogonalization replaced, with the same prefix
+    projection and the same reorthogonalization rule."""
+    before = weighted_norm(w, weight)
+    coeffs = np.zeros(len(basis))
+
+    def sweep(w):
+        start = 0
+        if prefix_solve is not None:
+            b = np.array([weighted_inner(w, basis[i], weight) for i in range(prefix_count)])
+            z = prefix_solve(b)
+            for i in range(prefix_count):
+                w = w - z[i] * basis[i]
+            coeffs[:prefix_count] += z
+            start = prefix_count
+        for i in range(start, len(basis)):
+            t = weighted_inner(w, basis[i], weight)
+            coeffs[i] += t
+            w = w - t * basis[i]
+        return w
+
+    w = sweep(w)
+    after = weighted_norm(w, weight)
+    if prefix_solve is not None or after < math.sqrt(0.5) * before:
+        w = sweep(w)
+        after = weighted_norm(w, weight)
+    return coeffs, w, after
+
+
+# Fixed before comparing: the two loops sum the same terms in a different
+# order, so they may differ by a few hundred rounding units of ||w||.
+_ORTH_RTOL = 1000 * np.finfo(np.float64).eps
+
+
+def _weights_for(rng, n, s):
+    return {
+        "identity": Weight.identity(),
+        "diagonal": Weight.diagonal(rng.uniform(0.2, 5.0, n)),
+        "elementwise": Weight.elementwise(rng.uniform(0.2, 5.0, (n, s))),
+    }
+
+
+def _assert_matches_reference(w, basis, weight, prefix_solve=None, prefix_count=0):
+    got = _orthogonalize(w, basis, weight, prefix_solve, prefix_count)
+    ref = mgs_orthogonalize(w, basis, weight, prefix_solve, prefix_count)
+    scale = weighted_norm(w, weight)
+    assert np.abs(got[0] - ref[0]).max() <= _ORTH_RTOL * scale
+    assert frob(got[1] - ref[1]) <= _ORTH_RTOL * frob(w)
+    assert abs(got[2] - ref[2]) <= _ORTH_RTOL * scale
+
+
+class TestOrthogonalizeReference:
+    @pytest.mark.parametrize("kind", ["identity", "diagonal", "elementwise"])
+    def test_matches_mgs_without_prefix(self, kind, rng):
+        op = random_operator(rng, 12, 3)
+        weight = _weights_for(rng, 12, 3)[kind]
+        dec = arnoldi_run(op, random_block(rng, 12, 3), weight, 6)
+        # a fresh direction and one nearly inside the span (triggers the second sweep)
+        inside = sum(dec.basis[i] for i in range(len(dec.basis))) + 1e-3 * random_block(rng, 12, 3)
+        for w in (apply_sylvester(op, dec.basis[-1]), inside):
+            _assert_matches_reference(w, dec.basis, weight)
+
+    @pytest.mark.parametrize("kind", ["identity", "diagonal", "elementwise"])
+    def test_matches_mgs_with_mixed_weight_prefix(self, kind, rng):
+        op = random_operator(rng, 12, 3)
+        w_old = Weight.diagonal(rng.uniform(0.5, 2.0, 12))
+        m, k = 6, 2
+        v = random_block(rng, 12, 3)
+        dec = arnoldi_run(op, v, w_old, m)
+        c = np.zeros(m + 1)
+        c[0] = weighted_norm(v, w_old)
+        sol = hessenberg_lsq(dec.h, c)
+        hs = select_and_realify(harmonic_pairs(dec.h), k)
+        blocks, new_h, _ = restart_subspace(dec, hs, sol.residual)
+        w_new = _weights_for(rng, 12, 3)[kind]
+        # two fresh blocks after the prefix, orthogonal to it in the new weight
+        ext = arnoldi_extend(ArnoldiDecomposition(blocks, new_h, ["old"] * len(blocks)),
+                             op, w_new, len(blocks), len(blocks) + 1)
+        prefix_solve, prefix_count = _prefix_projector(ext.basis[: len(blocks)], w_new)
+        assert prefix_count == len(blocks)
+        w = apply_sylvester(op, ext.basis[-1])
+        _assert_matches_reference(w, ext.basis, w_new, prefix_solve, prefix_count)

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 
 from sylgmres import SylvesterOperator, Weight
 from sylgmres.core import (
+    DENSE_B_MAX_S,
     apply_sylvester,
     as_block,
     basis_combine,
@@ -35,6 +36,16 @@ class TestApplySylvester:
         expect = (big @ x.ravel(order="F")).reshape((4, 2), order="F")
         got = apply_sylvester(op, x)
         assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
+
+    @pytest.mark.parametrize("s", [DENSE_B_MAX_S, DENSE_B_MAX_S + 1])
+    def test_dense_and_sparse_b_paths(self, s, rng):
+        a = random_block(rng, 3, 3)
+        b = sp.random_array((s, s), density=0.05, rng=rng, format="csr")
+        op = SylvesterOperator(a, b)
+        assert (op.b_dense is None) == (s > DENSE_B_MAX_S)
+        x = random_block(rng, 3, s)
+        expect = a @ x + x @ b.toarray()
+        assert np.linalg.norm(op.apply(x) - expect) <= 1e-13 * np.linalg.norm(expect)
 
     def test_dimension_mismatch(self, rng):
         op = random_operator(rng, 4, 2)
@@ -191,6 +202,44 @@ class TestBasisCombine:
     def test_length_mismatch(self, rng):
         with pytest.raises(ValueError):
             basis_combine([random_block(rng, 3, 2)], np.ones(2))
+
+    def test_coefficient_matrix_gives_stacked_combinations(self, rng):
+        basis = np.stack([random_block(rng, 5, 2) for _ in range(4)])
+        q = rng.standard_normal((4, 3))
+        got = basis_combine(basis, q)
+        assert got.shape == (3, 5, 2)
+        for j in range(3):
+            expect = sum(q[i, j] * basis[i] for i in range(4))
+            assert np.allclose(got[j], expect, rtol=1e-13, atol=1e-14)
+
+
+class TestStackedBlocks:
+    @pytest.mark.parametrize("kind", ["identity", "diagonal", "elementwise"])
+    def test_stack_and_list_agree_with_pairwise_inner(self, kind, rng):
+        n, s = 6, 3
+        weight = {"identity": Weight.identity(),
+                  "diagonal": Weight.diagonal(rng.uniform(0.2, 3.0, n)),
+                  "elementwise": Weight.elementwise(rng.uniform(0.2, 3.0, (n, s)))}[kind]
+        u = [random_block(rng, n, s) for _ in range(3)]
+        v = [random_block(rng, n, s) for _ in range(2)]
+        expect = np.array([[weighted_inner(ui, vj, weight) for vj in v] for ui in u])
+        assert np.allclose(diamond_product(u, v, weight), expect, rtol=1e-13)
+        assert np.allclose(diamond_product(np.stack(u), np.stack(v), weight), expect, rtol=1e-13)
+        stack = np.stack(v)
+        scaled = weight.scale(stack)
+        for j in range(2):
+            assert np.allclose(scaled[j], weight.scale(v[j]), rtol=1e-15)
+
+    def test_weight_checks_trailing_dimensions(self, rng):
+        stack = np.stack([random_block(rng, 4, 2) for _ in range(3)])
+        with pytest.raises(ValueError):
+            Weight.diagonal(np.ones(3)).scale(stack)
+        with pytest.raises(ValueError):
+            Weight.elementwise(np.ones((4, 3))).scale(stack)
+
+    def test_ragged_blocks_rejected(self, rng):
+        with pytest.raises(ValueError):
+            basis_combine([random_block(rng, 3, 2), random_block(rng, 4, 2)], np.ones(2))
 
 
 class TestAsBlock:

@@ -41,8 +41,7 @@ class ArnoldiDecomposition:
     """Block basis V_1..V_{j+1} with its (j+1) x j recurrence matrix.
 
     ``basis`` is a (j+1, n, s) array (or, for a hand-built prefix, a list of
-    (n, s) blocks); ``basis[i]`` is block i.  ``weight_tags[i]`` names the
-    weight under which block i was produced.  ``breakdown`` is the 1-based
+    (n, s) blocks); ``basis[i]`` is block i.  ``breakdown`` is the 1-based
     step at which the subdiagonal coefficient vanished, if it did; the basis
     then has one block fewer than usual and the last row of ``h`` is
     (numerically) zero.
@@ -50,7 +49,6 @@ class ArnoldiDecomposition:
 
     basis: np.ndarray | list = field(default_factory=list)
     h: np.ndarray = field(default_factory=lambda: np.zeros((1, 0)))
-    weight_tags: list = field(default_factory=list)
     breakdown: int | None = None
 
     @property
@@ -107,7 +105,7 @@ def arnoldi_run(op, v, weight, m):
     beta = weighted_norm(v, weight)
     if beta == 0.0:
         raise ValueError("start block must be nonzero")
-    seed = ArnoldiDecomposition((v / beta)[None], np.zeros((1, 0)), [weight.tag])
+    seed = ArnoldiDecomposition((v / beta)[None], np.zeros((1, 0)))
     return arnoldi_extend(seed, op, weight, 1, m)
 
 
@@ -154,8 +152,7 @@ def arnoldi_extend(dec, op, weight, from_j, to_m):
         size += 1
 
     basis.flags.writeable = False
-    tags = list(dec.weight_tags) + [weight.tag] * (size - from_j)
-    return ArnoldiDecomposition(basis[:size], h, tags, breakdown)
+    return ArnoldiDecomposition(basis[:size], h, breakdown)
 
 
 def _prefix_projector(prefix, weight):

@@ -34,7 +34,7 @@ from .problems import (
     gen_rhs,
     read_matrix_market,
 )
-from .solver import SolverConfig, wglgmres, wglgmres_dr
+from .solver import SolverConfig, wglgmres_dr
 from .weighting import STRATEGY_KINDS, WeightStrategy
 
 __all__ = [
@@ -195,8 +195,7 @@ def run_experiment(cfg, history_name="history.csv", summary_name="summary.csv"):
     cfg.validate()
     problem = build_problem(cfg)
     solver_cfg = _solver_config(cfg)
-    solve = wglgmres_dr if cfg.k >= 1 else wglgmres
-    report = solve(problem.op, problem.c, solver_cfg)
+    report = wglgmres_dr(problem.op, problem.c, solver_cfg)
 
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -227,8 +226,7 @@ def compare_variants(cfgs):
     reports = []
     for cfg in cfgs:
         problem = build_problem(cfg)
-        solve = wglgmres_dr if cfg.k >= 1 else wglgmres
-        report = solve(problem.op, problem.c, _solver_config(cfg))
+        report = wglgmres_dr(problem.op, problem.c, _solver_config(cfg))
         rows.append(_summary_row(cfg, report))
         reports.append(report)
     return rows, reports

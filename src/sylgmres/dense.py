@@ -1,8 +1,9 @@
 """Dense kernels for the small projected subproblems.
 
-Everything here operates on matrices of at most a few hundred rows: least
-squares on (m+1) x m quasi-Hessenberg matrices via plane rotations, a
-rank-revealing modified Gram-Schmidt QR, a real nonsymmetric eigensolver and
+Everything here operates on matrices of at most a few hundred rows and is one
+LAPACK call plus the checks around it: least squares on (m+1) x m
+quasi-Hessenberg matrices and a rank-revealing reduced QR, both by Householder
+QR; a real nonsymmetric eigensolver with magnitude-sorted pairs; and
 partial-pivoted linear solves with an explicit singularity threshold.
 """
 
@@ -58,39 +59,27 @@ class QrFactors(NamedTuple):
 class EigenPairSet:
     """Eigenvalues with right eigenvectors of a real matrix.
 
-    Complex conjugate pairs are adjacent (positive imaginary part first) and
-    every vector has unit 2-norm.  ``magnitude_order`` sorts ascending by
-    eigenvalue magnitude; the sort is stable, so adjacency of conjugate pairs
-    survives reordering.
+    Sorted ascending by eigenvalue magnitude, complex conjugate pairs adjacent
+    (positive imaginary part first); every vector has unit 2-norm.
     """
 
     values: np.ndarray
     vectors: np.ndarray
-    magnitude_order: np.ndarray
 
     def __len__(self):
         return self.values.shape[0]
 
-    def sorted_by_magnitude(self):
-        o = self.magnitude_order
-        return EigenPairSet(self.values[o], self.vectors[:, o], np.arange(len(o)))
-
-
-def _rotation(f, g):
-    """Stable plane rotation (c, s) with c*f + s*g = hypot(f, g) >= 0."""
-    r = np.hypot(f, g)
-    return f / r, g / r
-
 
 def hessenberg_lsq(h, c):
-    """Minimize ||c - H y||_2 for an (m+1) x m matrix H by plane rotations.
+    """Minimize ||c - H y||_2 for an (m+1) x m matrix H by Householder QR.
 
     H may be proper upper Hessenberg or carry a dense leading block (as after
-    a deflated restart); rotations eliminate whatever subdiagonal entries are
-    present, column by column.  Returns the minimizer ``y``, the explicit
-    residual vector ``c - H y``, its 2-norm ``rho`` and a ``degenerate`` flag.
-    A triangular diagonal below ``PIVOT_TOL * ||H||_F`` marks the system rank
-    deficient; the minimum-norm solution is returned in that case.
+    a deflated restart).  With H = Q R and g = Q^T c the minimizer solves the
+    triangular system R[:m] y = g[:m] and the residual norm is |g[m]|.
+    Returns the minimizer ``y``, the explicit residual vector ``c - H y``, its
+    2-norm ``rho`` and a ``degenerate`` flag.  A triangular diagonal below
+    ``PIVOT_TOL * ||H||_F`` marks the system rank deficient; the minimum-norm
+    solution is returned in that case, with ``rho`` recomputed from it.
     """
     h = np.asarray(h, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
@@ -100,21 +89,9 @@ def hessenberg_lsq(h, c):
     if c.shape != (m + 1,):
         raise ValueError(f"right-hand side must have length {m + 1}, got {c.shape}")
 
-    r = h.copy()
-    g = c.copy()
-    for j in range(m):
-        for i in range(m, j, -1):
-            if r[i, j] == 0.0:
-                continue
-            cs, sn = _rotation(r[i - 1, j], r[i, j])
-            top = cs * r[i - 1, j:] + sn * r[i, j:]
-            r[i, j:] = -sn * r[i - 1, j:] + cs * r[i, j:]
-            r[i - 1, j:] = top
-            gt = cs * g[i - 1] + sn * g[i]
-            g[i] = -sn * g[i - 1] + cs * g[i]
-            g[i - 1] = gt
-
-    diag = np.abs(np.diagonal(r[:m, :m])) if m else np.empty(0)
+    q, r = scipy.linalg.qr(h)
+    g = q.T @ c
+    diag = np.abs(np.diagonal(r))
     degenerate = bool(m and np.any(diag <= PIVOT_TOL * np.linalg.norm(h)))
     if degenerate:
         y = np.linalg.lstsq(r[:m], g[:m], rcond=None)[0]
@@ -128,14 +105,16 @@ def hessenberg_lsq(h, c):
 
 
 def reduced_qr(g):
-    """Reduced QR of a tall m x k matrix by modified Gram-Schmidt.
+    """Rank-revealing reduced QR of a tall m x k matrix by Householder QR.
 
-    Every column gets one full reorthogonalization sweep.  Columns whose
-    orthogonalized remainder falls below ``RANK_TOL`` times the largest input
-    column norm are dropped, so ``q`` may have fewer than k columns; ``kept``
-    lists the surviving input column indices and ``gamma`` has one row per
-    kept column (upper triangular when nothing is dropped, with
-    ``g ~ q @ gamma`` either way).
+    A column whose triangular diagonal |R_jj| (the norm of its part
+    orthogonal to the columns before it) falls below ``RANK_TOL`` times the
+    largest input column norm is dropped, and the kept columns are factored
+    again, so ``q`` may have fewer than k columns and spans exactly the kept
+    ones.  ``kept`` lists the surviving input column indices; ``q`` is
+    normalized to a nonnegative triangular diagonal and ``gamma = q^T g`` has
+    one row per kept column (upper triangular up to rounding when nothing is
+    dropped, with ``g ~ q @ gamma`` either way).
     """
     g = np.asarray(g, dtype=np.float64)
     if g.ndim != 2:
@@ -143,33 +122,16 @@ def reduced_qr(g):
     m, k = g.shape
     if k > m:
         raise ValueError(f"need at least as many rows as columns, got {g.shape}")
-    col_norms = np.linalg.norm(g, axis=0)
-    tol = RANK_TOL * (col_norms.max() if k else 0.0)
+    tol = RANK_TOL * (np.linalg.norm(g, axis=0).max() if k else 0.0)
 
-    q_cols = []
-    gamma_cols = []
-    kept = []
-    for j in range(k):
-        v = g[:, j].copy()
-        coeff = np.zeros(k)
-        for _ in range(2):
-            for i, qi in enumerate(q_cols):
-                t = float(qi @ v)
-                coeff[i] += t
-                v -= t * qi
-        nrm = float(np.linalg.norm(v))
-        if nrm <= tol:
-            gamma_cols.append(coeff)
-            continue
-        coeff[len(q_cols)] = nrm
-        q_cols.append(v / nrm)
-        kept.append(j)
-        gamma_cols.append(coeff)
-
-    rank = len(q_cols)
-    q = np.column_stack(q_cols) if rank else np.zeros((m, 0))
-    gamma = np.column_stack([c[:rank] for c in gamma_cols]) if k else np.zeros((0, 0))
-    return QrFactors(q, gamma, kept)
+    q, r = scipy.linalg.qr(g, mode="economic")
+    kept = [j for j in range(k) if abs(r[j, j]) > tol]
+    if len(kept) < k:
+        # a dropped column's Householder direction is arbitrary and would
+        # leak into the later columns of q
+        q, r = scipy.linalg.qr(g[:, kept], mode="economic")
+    q = q * np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
+    return QrFactors(q, q.T @ g, kept)
 
 
 def small_eig(mat):
@@ -177,7 +139,8 @@ def small_eig(mat):
 
     Backed by LAPACK's balanced Hessenberg-reduction + implicitly shifted QR
     iteration, which keeps conjugate pairs adjacent and returns unit-norm
-    right eigenvectors.  Non-convergence raises EigenConvergenceError.
+    right eigenvectors; the pairs come back sorted ascending by magnitude.
+    Non-convergence raises EigenConvergenceError.
     """
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -190,10 +153,10 @@ def small_eig(mat):
         values, vectors = np.linalg.eig(mat)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(str(exc)) from exc
-    values = values.astype(np.complex128)
-    vectors = vectors.astype(np.complex128)
+    # a stable sort keeps LAPACK's adjacent conjugate pairs together
     order = np.argsort(np.abs(values), kind="stable")
-    return EigenPairSet(values, vectors, order)
+    return EigenPairSet(values[order].astype(np.complex128),
+                        vectors[:, order].astype(np.complex128))
 
 
 def small_solve(mat, rhs):

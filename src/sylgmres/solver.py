@@ -73,8 +73,8 @@ class SolverConfig:
     """Restart length ``m``, deflation count ``k`` and stopping controls.
 
     ``k = 0`` disables deflation; otherwise ``1 <= k <= m - 2`` so a
-    conjugate-pair adjustment always has room.  Only ``sigma = 0`` (deflating
-    the smallest-magnitude harmonic values) is supported.
+    conjugate-pair adjustment always has room.  Deflation recycles the
+    harmonic Ritz vectors of smallest magnitude.
     """
 
     m: int
@@ -82,7 +82,6 @@ class SolverConfig:
     tol: float = 1e-6
     maxit: int = 2500
     strategy: WeightStrategy = WeightStrategy("identity")
-    sigma: float = 0.0
     record_cycles: bool = False
 
     def __post_init__(self):
@@ -96,8 +95,6 @@ class SolverConfig:
             raise ValueError("tolerance must be > 0")
         if self.maxit < 1:
             raise ValueError("maxit must be >= 1")
-        if self.sigma != 0.0:
-            raise ValueError("only the zero harmonic shift is supported")
 
 
 @dataclass(frozen=True)
@@ -171,13 +168,10 @@ def harmonic_pairs(h):
     m = h.shape[1]
     hm = h[:m, :]
     hsub = float(h[m, m - 1])
+    em = np.zeros(m)
+    em[m - 1] = 1.0
     try:
-        em = np.zeros(m)
-        em[m - 1] = 1.0
         u = small_solve(hm.T, em)
-        mat = hm.copy()
-        mat[:, m - 1] += hsub**2 * u
-        pairs = small_eig(mat)
     except SingularMatrixError:
         normal = h.T @ h
         inv_map = small_solve(normal, hm.T)  # raises again if the pencil is singular
@@ -187,10 +181,11 @@ def harmonic_pairs(h):
         if not np.any(keep):
             raise DeflationError("harmonic pencil has no finite eigenvalues")
         values = 1.0 / inv_pairs.values[keep]
-        vectors = inv_pairs.vectors[:, keep]
         order = np.argsort(np.abs(values), kind="stable")
-        pairs = EigenPairSet(values, vectors, order)
-    return pairs.sorted_by_magnitude()
+        return EigenPairSet(values[order], inv_pairs.vectors[:, keep][:, order])
+    mat = hm.copy()
+    mat[:, m - 1] += hsub**2 * u
+    return small_eig(mat)
 
 
 def select_and_realify(pairs, k):
@@ -241,7 +236,7 @@ def select_and_realify(pairs, k):
         i += 2
 
     g_real = np.column_stack(cols)
-    selected = EigenPairSet(values[:k_sel], vectors[:, :k_sel], np.arange(k_sel))
+    selected = EigenPairSet(values[:k_sel], vectors[:, :k_sel])
     return HarmonicSet(selected, g_real, g_real.shape[1])
 
 
@@ -317,17 +312,11 @@ def wglgmres(op, c, cfg, x0=None):
     """Restarted weighted global GMRES (no deflation; ``cfg.k`` must be 0)."""
     if cfg.k != 0:
         raise ValueError("wglgmres requires k = 0; use wglgmres_dr for deflation")
-    return _drive(op, c, cfg, x0, use_deflation=False)
+    return wglgmres_dr(op, c, cfg, x0)
 
 
 def wglgmres_dr(op, c, cfg, x0=None):
     """Weighted global GMRES with deflated restarting (plain when k = 0)."""
-    if cfg.k == 0:
-        return wglgmres(op, c, cfg, x0)
-    return _drive(op, c, cfg, x0, use_deflation=True)
-
-
-def _drive(op, c, cfg, x0, use_deflation):
     t0 = time.perf_counter()
     c = as_block(c, name="right-hand side")
     if c.shape != op.shape:
@@ -374,8 +363,8 @@ def _drive(op, c, cfg, x0, use_deflation):
             cvec[0] = beta
             prefix_cols = 0
         else:
-            blocks, h_prefix, tags, c_prefix = prefix
-            seed = ArnoldiDecomposition(blocks, h_prefix, tags)
+            blocks, h_prefix, c_prefix = prefix
+            seed = ArnoldiDecomposition(blocks, h_prefix)
             dec = arnoldi_extend(seed, op, weight, len(blocks), cfg.m)
             # the carried residual lies in the span of the recycled blocks, so
             # its representation in the restarted basis is c_prefix exactly and
@@ -410,13 +399,12 @@ def _drive(op, c, cfg, x0, use_deflation):
             break
 
         prefix = None
-        if use_deflation and dec.breakdown is None and not sol.degenerate:
+        if cfg.k > 0 and dec.breakdown is None and not sol.degenerate:
             try:
                 pairs = harmonic_pairs(dec.h)
                 hs = select_and_realify(pairs, cfg.k)
                 blocks, new_h, q = restart_subspace(dec, hs, sol.residual)
-                prefix = (blocks, new_h, [f"{weight.tag}+recycled"] * len(blocks),
-                          q.T @ sol.residual)
+                prefix = (blocks, new_h, q.T @ sol.residual)
             except (DeflationError, SingularMatrixError, EigenConvergenceError) as exc:
                 events.append(f"cycle {cycle}: deflation skipped ({exc})")
         prev_weight = weight

@@ -25,6 +25,13 @@ def random_block(rng, n, s):
     return np.asfortranarray(rng.standard_normal((n, s)))
 
 
+def random_hessenberg(rng, m):
+    """(m+1) x m upper Hessenberg matrix with subdiagonal entries >= 0.5."""
+    h = np.triu(rng.standard_normal((m + 1, m)), -1)
+    h[np.arange(1, m + 1), np.arange(m)] = np.abs(h[np.arange(1, m + 1), np.arange(m)]) + 0.5
+    return h
+
+
 def kron_matrix(op):
     """Dense Kronecker linearization of a Sylvester operator."""
     return np.kron(np.eye(op.s), op.a.toarray()) + np.kron(op.b.toarray().T, np.eye(op.n))

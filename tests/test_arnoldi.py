@@ -110,7 +110,7 @@ class TestArnoldiExtend:
         w = Weight.identity()
         full = arnoldi_run(op, v, w, 5)
         beta = weighted_norm(v, w)
-        seed = ArnoldiDecomposition([v / beta], np.zeros((1, 0)), [w.tag])
+        seed = ArnoldiDecomposition([v / beta], np.zeros((1, 0)))
         seed.basis[0].flags.writeable = False
         ext = arnoldi_extend(seed, op, w, 1, 5)
         assert np.array_equal(full.h, ext.h)
@@ -130,7 +130,7 @@ class TestArnoldiExtend:
         hs = select_and_realify(harmonic_pairs(dec.h), k)
         blocks, new_h, q = restart_subspace(dec, hs, sol.residual)
         w_new = weight_new if weight_new is not None else w_old
-        seed = ArnoldiDecomposition(blocks, new_h, ["old"] * len(blocks))
+        seed = ArnoldiDecomposition(blocks, new_h)
         for b in seed.basis:
             b.flags.writeable = False
         ext = arnoldi_extend(seed, op, w_new, len(blocks), m)
@@ -269,7 +269,7 @@ class TestOrthogonalizeReference:
         blocks, new_h, _ = restart_subspace(dec, hs, sol.residual)
         w_new = _weights_for(rng, 12, 3)[kind]
         # two fresh blocks after the prefix, orthogonal to it in the new weight
-        ext = arnoldi_extend(ArnoldiDecomposition(blocks, new_h, ["old"] * len(blocks)),
+        ext = arnoldi_extend(ArnoldiDecomposition(blocks, new_h),
                              op, w_new, len(blocks), len(blocks) + 1)
         prefix_solve, prefix_count = _prefix_projector(ext.basis[: len(blocks)], w_new)
         assert prefix_count == len(blocks)

@@ -1,7 +1,12 @@
-"""Small dense kernels: Hessenberg least squares, MGS QR, eig, solve."""
+"""Small dense kernels: Hessenberg least squares, reduced QR, eig, solve.
+
+The plane-rotation least squares and the modified Gram-Schmidt QR that the
+Householder kernels replaced stay here as references.
+"""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sylgmres.dense import (
     SingularMatrixError,
@@ -11,11 +16,84 @@ from sylgmres.dense import (
     small_solve,
 )
 
+from conftest import random_hessenberg
 
-def random_hessenberg(rng, m):
-    h = np.triu(rng.standard_normal((m + 1, m)), -1)
-    h[np.arange(1, m + 1), np.arange(m)] = np.abs(h[np.arange(1, m + 1), np.arange(m)]) + 0.5
+
+# Reference comparisons: a relative error of 1000 unit roundoffs, scaled by
+# the condition number the perturbation bound of each quantity carries.
+RTOL = 1000 * np.finfo(np.float64).eps
+
+
+def deflated_hessenberg(rng, m, k):
+    """Quasi-Hessenberg shape left behind by a deflated restart: a dense
+    (k+1) x k leading block, Hessenberg columns after it."""
+    h = np.zeros((m + 1, m))
+    h[: k + 1, :k] = rng.standard_normal((k + 1, k))
+    h[:, k:] = np.triu(rng.standard_normal((m + 1, m - k)), -(k + 1))
     return h
+
+
+def rotation_lsq_reference(h, c):
+    """Plane-rotation least squares: (y, rho, degenerate), with the same
+    degeneracy rule as ``hessenberg_lsq``."""
+    m = h.shape[1]
+    r = h.copy()
+    g = c.copy()
+    for j in range(m):
+        for i in range(m, j, -1):
+            if r[i, j] == 0.0:
+                continue
+            rad = np.hypot(r[i - 1, j], r[i, j])
+            cs, sn = r[i - 1, j] / rad, r[i, j] / rad
+            top = cs * r[i - 1, j:] + sn * r[i, j:]
+            r[i, j:] = -sn * r[i - 1, j:] + cs * r[i, j:]
+            r[i - 1, j:] = top
+            gt = cs * g[i - 1] + sn * g[i]
+            g[i] = -sn * g[i - 1] + cs * g[i]
+            g[i - 1] = gt
+    diag = np.abs(np.diagonal(r[:m, :m]))
+    degenerate = bool(np.any(diag <= 1e-14 * np.linalg.norm(h)))
+    if degenerate:
+        y = np.linalg.lstsq(r[:m], g[:m], rcond=None)[0]
+        return y, float(np.linalg.norm(c - h @ y)), True
+    return scipy.linalg.solve_triangular(r[:m], g[:m]), abs(float(g[m])), False
+
+
+def mgs_qr_reference(g):
+    """Modified Gram-Schmidt with one reorthogonalization sweep: (q, gamma,
+    kept), dropping columns whose remainder is below 1e-12 times the largest
+    column norm."""
+    m, k = g.shape
+    tol = 1e-12 * np.linalg.norm(g, axis=0).max()
+    q_cols, gamma_cols, kept = [], [], []
+    for j in range(k):
+        v = g[:, j].copy()
+        coeff = np.zeros(k)
+        for _ in range(2):
+            for i, qi in enumerate(q_cols):
+                t = float(qi @ v)
+                coeff[i] += t
+                v -= t * qi
+        nrm = float(np.linalg.norm(v))
+        if nrm > tol:
+            coeff[len(q_cols)] = nrm
+            q_cols.append(v / nrm)
+            kept.append(j)
+        gamma_cols.append(coeff)
+    rank = len(q_cols)
+    return np.column_stack(q_cols), np.column_stack([c[:rank] for c in gamma_cols]), kept
+
+
+def assert_lsq_matches_reference(h, c):
+    sol = hessenberg_lsq(h, c)
+    y_ref, rho_ref, degenerate_ref = rotation_lsq_reference(h, c)
+    assert sol.degenerate == degenerate_ref
+    kappa = np.linalg.cond(h)
+    hnorm = np.linalg.norm(h, 2)
+    # least-squares perturbation bound: kappa for y, kappa^2 for the residual
+    y_err = RTOL * kappa * (np.linalg.norm(y_ref) + kappa * rho_ref / hnorm)
+    assert np.linalg.norm(sol.y - y_ref) <= y_err
+    assert abs(sol.rho - rho_ref) <= RTOL * (hnorm * np.linalg.norm(y_ref) + np.linalg.norm(c))
 
 
 class TestHessenbergLsq:
@@ -53,11 +131,8 @@ class TestHessenbergLsq:
         assert np.allclose(sol.residual, c - h @ sol.y)
 
     def test_dense_leading_block(self, rng):
-        # quasi-Hessenberg shape left behind by a deflated restart
-        m, k = 6, 3
-        h = np.zeros((m + 1, m))
-        h[: k + 1, :k] = rng.standard_normal((k + 1, k))
-        h[:, k:] = np.triu(rng.standard_normal((m + 1, m - k)), -(k + 1))
+        m = 6
+        h = deflated_hessenberg(rng, m, 3)
         c = rng.standard_normal(m + 1)
         sol = hessenberg_lsq(h, c)
         y_ref = np.linalg.lstsq(h, c, rcond=None)[0]
@@ -70,6 +145,17 @@ class TestHessenbergLsq:
         assert sol.degenerate
         # minimum-norm solution of y1 + y2 = 2
         assert sol.y == pytest.approx([1.0, 1.0], rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_rotation_reference_hessenberg(self, seed):
+        rng = np.random.default_rng(seed + 200)
+        m = 1 + seed
+        assert_lsq_matches_reference(random_hessenberg(rng, m), rng.standard_normal(m + 1))
+
+    @pytest.mark.parametrize("m,k", [(3, 1), (6, 3), (10, 5), (10, 8), (20, 10)])
+    def test_matches_rotation_reference_deflated(self, m, k):
+        rng = np.random.default_rng(10 * m + k)
+        assert_lsq_matches_reference(deflated_hessenberg(rng, m, k), rng.standard_normal(m + 1))
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -108,6 +194,36 @@ class TestReducedQr:
         # dropped column still reconstructed through gamma
         assert np.allclose(out.q @ out.gamma[:, 2], g[:, 2], atol=1e-12)
 
+    def test_repeated_column_dropped_and_span_kept(self, rng):
+        a = rng.standard_normal((7, 2))
+        g = np.column_stack([a[:, 0], 2.0 * a[:, 0], a[:, 1]])
+        out = reduced_qr(g)
+        assert out.kept == [0, 2]
+        assert np.linalg.norm(out.q.T @ out.q - np.eye(2)) <= 1e-13
+        # q spans {a0, a1}: both are reproduced by their projections
+        assert np.linalg.norm(a - out.q @ (out.q.T @ a)) <= 1e-13 * np.linalg.norm(a)
+        assert np.linalg.norm(g - out.q @ out.gamma) <= 1e-13 * np.linalg.norm(g)
+
+    @pytest.mark.parametrize("shape", [(6, 1), (8, 4), (10, 5), (12, 12), (21, 10)])
+    def test_matches_mgs_reference(self, shape):
+        rng = np.random.default_rng(shape[0] * shape[1])
+        g = rng.standard_normal(shape)
+        self._assert_matches_mgs(g)
+
+    def test_matches_mgs_reference_rank_deficient(self, rng):
+        a = rng.standard_normal((9, 3))
+        g = np.column_stack([a[:, 0], a[:, 1], a[:, 0] - a[:, 1], a[:, 2], 3.0 * a[:, 2]])
+        self._assert_matches_mgs(g)
+
+    @staticmethod
+    def _assert_matches_mgs(g):
+        out = reduced_qr(g)
+        q_ref, gamma_ref, kept_ref = mgs_qr_reference(g)
+        assert out.kept == kept_ref
+        kappa = np.linalg.cond(g[:, kept_ref])
+        assert np.linalg.norm(out.q - q_ref) <= RTOL * kappa
+        assert np.linalg.norm(out.gamma - gamma_ref) <= RTOL * kappa * np.linalg.norm(g)
+
     def test_more_columns_than_rows(self, rng):
         with pytest.raises(ValueError):
             reduced_qr(rng.standard_normal((2, 3)))
@@ -115,12 +231,10 @@ class TestReducedQr:
 
 class TestSmallEig:
     def test_diagonal(self):
-        pairs = small_eig(np.diag([1.0, 2.0, 3.0]))
-        srt = pairs.sorted_by_magnitude()
-        assert np.allclose(srt.values, [1.0, 2.0, 3.0])
-        for i in range(3):
-            v = srt.vectors[:, i]
-            assert abs(np.abs(v[i]) - 1.0) < 1e-14
+        pairs = small_eig(np.diag([3.0, 1.0, -2.0]))
+        assert np.allclose(pairs.values, [1.0, -2.0, 3.0])
+        for i, row in enumerate([1, 2, 0]):
+            assert abs(np.abs(pairs.vectors[row, i]) - 1.0) < 1e-14
 
     def test_rotation_conjugate_pair(self):
         pairs = small_eig(np.array([[0.0, -1.0], [1.0, 0.0]]))
@@ -162,8 +276,8 @@ class TestSmallEig:
         for seed in range(10):
             r = np.random.default_rng(seed)
             mat = r.standard_normal((8, 8))
-            srt = small_eig(mat).sorted_by_magnitude()
-            vals = srt.values
+            vals = small_eig(mat).values
+            assert np.all(np.diff(np.abs(vals)) >= 0.0)
             i = 0
             while i < len(vals):
                 if vals[i].imag != 0.0:

@@ -189,8 +189,7 @@ class TestHarmonicPairs:
 
 class TestSelectAndRealify:
     def _real_pairs(self, values, vectors):
-        return EigenPairSet(np.asarray(values, complex), np.asarray(vectors, complex),
-                            np.arange(len(values)))
+        return EigenPairSet(np.asarray(values, complex), np.asarray(vectors, complex))
 
     def test_all_real_unchanged(self, rng):
         vecs = np.linalg.qr(rng.standard_normal((6, 6)))[0]
@@ -258,8 +257,7 @@ class TestRestartSubspace:
             pytest.skip("no real harmonic value in this draw")
         g = pairs.vectors[:, real_idx[0]].real
         hs = select_and_realify(
-            EigenPairSet(pairs.values[real_idx[:1]], pairs.vectors[:, real_idx[:1]],
-                         np.arange(1)), 1)
+            EigenPairSet(pairs.values[real_idx[:1]], pairs.vectors[:, real_idx[:1]]), 1)
         blocks, new_h, q = restart_subspace(dec, hs, sol.residual)
         gn = g / np.linalg.norm(g)
         expect = sum(gn[i] * dec.basis[i] for i in range(6))
@@ -400,8 +398,6 @@ class TestWglgmresDr:
             SolverConfig(m=0)
         with pytest.raises(ValueError):
             SolverConfig(m=4, tol=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(m=4, sigma=1.0)
 
     def test_unconverged_report_is_honest(self, rng):
         # a deliberately starved run must come back flagged, with the true

@@ -3,17 +3,23 @@
 Builds a weight-orthonormal block basis for the matrix Krylov subspace of a
 Sylvester operator by classical Gram-Schmidt with reorthogonalization in the
 weighted inner product (Giraud, Langou, Rozloznik and van den Eshof, Numer.
-Math. 2005): each sweep takes every coefficient with one diamond product and
-removes them with one basis combination.  The recurrence coefficients land
-in a quasi upper Hessenberg matrix of shape (j+1) x j.  The basis of a cycle
-is one read-only C-ordered (j+1, n, s) array.
+Math. 2005).  A global Krylov method on n x s blocks is weighted GMRES on
+vec(X) in R^(n*s), so each step works on flat views: the basis of a cycle is
+one read-only C-ordered (j+1, n, s) array, viewed as (j+1, n*s) rows, and the
+weight as one (n*s,) vector.  A Gram-Schmidt sweep is one GEMV for the
+coefficients and one for the update, the new block is built in place in its
+basis slot, and the recurrence coefficients land in a quasi upper Hessenberg
+matrix of shape (j+1) x j.
 
 The process can also continue from a retained prefix (the deflated-restart
 case): new blocks are orthogonalized against every existing block in the
 *current* weight while the prefix itself is never touched, so a basis built
 across a weight change is orthonormal in the mixed sense (prefix blocks in
 the weight of their construction, new blocks and all cross terms in the new
-weight).
+weight).  Such a prefix forces the second Gram-Schmidt sweep on every step.
+That costs little: the 1/sqrt(2) rule alone runs it on most steps (1,054 of
+1,170 in the plain FDM n0=100 seed-7 solve), and a deflated step costs more
+than a plain one mainly through its larger basis.
 """
 
 from __future__ import annotations
@@ -23,10 +29,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrs
 
 # weighted_inner is no longer called here; it stays importable from this
-# module because solvebench's tracer wraps it under this name.
-from .core import as_block, basis_combine, diamond_product, weighted_inner, weighted_norm  # noqa: F401
+# module because solvebench's tracer wraps it under this name.  The step
+# kernel below calls neither diamond_product nor weighted_norm: they run once
+# per extension, for the prefix Gram matrix and the start block.
+from .core import as_block, diamond_product, weighted_inner, weighted_norm  # noqa: F401
 
 __all__ = ["ArnoldiDecomposition", "arnoldi_run", "arnoldi_extend"]
 
@@ -56,36 +65,69 @@ class ArnoldiDecomposition:
         return self.h.shape[1]
 
 
-def _sweep(w, basis, weight, prefix_solve, prefix_count):
-    """One classical Gram-Schmidt sweep: all coefficients, then one update."""
-    t = diamond_product(basis, w[None], weight)[:, 0]
-    if prefix_solve is not None:
-        t[:prefix_count] = prefix_solve(t[:prefix_count])
-    return t, w - basis_combine(basis, t)
+def _norm(v, d):
+    """Weighted 2-norm of the flat vector ``v`` under the flat weight ``d``
+    (None for the identity), summed as :func:`core.weighted_norm` sums it."""
+    val = float(np.einsum("i,i->", v, v) if d is None else np.einsum("i,i,i->", d, v, v))
+    # tiny negative values can appear through rounding in the einsum reduction
+    return math.sqrt(val) if val > 0.0 else 0.0
+
+
+def _cgs2(v, flat, d, dv, prefix_solve, prefix_count):
+    """Make the flat vector ``v`` weight-orthogonal to the rows of ``flat``,
+    in place; returns the coefficients and the remaining weighted norm.
+
+    Classical Gram-Schmidt with reorthogonalization: a sweep takes every
+    coefficient with one GEMV against ``D v`` (formed in the scratch vector
+    ``dv``; ``d`` is the flat weight, None for the identity) and removes them
+    with one GEMV.  Rows beyond ``prefix_count`` are orthonormal in the
+    weight.  The leading ``prefix_count`` rows may fail to be (a restart
+    prefix carried across a weight change), but every later row was made
+    orthogonal to them in the weight, so the Gram matrix is block diagonal:
+    the prefix coefficients go through ``prefix_solve`` (an oblique
+    projection through the prefix Gram matrix) and the others are used as
+    they are.  A second sweep runs whenever a non-trivial prefix is present,
+    otherwise when the norm drops below 1/sqrt(2) of its starting value.
+    """
+    before = _norm(v, d)
+    coeffs = None
+    for _ in range(2):
+        weighted = v if d is None else np.multiply(d, v, out=dv)
+        # (b, N) @ (N, 1), the shapes diamond_product used: the same BLAS
+        # call, so the same rounding
+        t = (flat @ weighted[:, None])[:, 0]
+        if prefix_solve is not None:
+            t[:prefix_count] = prefix_solve(t[:prefix_count])
+        np.subtract(v, t @ flat, out=v)
+        after = _norm(v, d)
+        coeffs = t if coeffs is None else coeffs + t
+        if prefix_solve is None and after >= _REORTH_DROP * before:
+            break
+    return coeffs, after
+
+
+def _flat_weight(weight, s):
+    """The weight as one flat (n*s,) vector and a scratch vector of its size,
+    or (None, None) for the identity."""
+    entries = weight._entries(s)
+    if entries is None:
+        return None, None
+    d = entries.reshape(-1)
+    return d, np.empty_like(d)
 
 
 def _orthogonalize(w, basis, weight, prefix_solve=None, prefix_count=0):
-    """Make ``w`` weight-orthogonal to every block of the stacked ``basis``.
+    """Make a copy of the (n, s) block ``w`` weight-orthogonal to every block
+    of the stacked ``basis`` (see :func:`_cgs2`); ``w`` is not modified.
 
-    Classical Gram-Schmidt with reorthogonalization.  Blocks beyond
-    ``prefix_count`` are orthonormal in ``weight``.  The leading
-    ``prefix_count`` blocks may fail to be orthonormal in ``weight`` (a
-    restart prefix carried across a weight change), but every later block was
-    made orthogonal to them in ``weight``, so the Gram matrix of ``basis`` is
-    block diagonal: the prefix coefficients go through ``prefix_solve`` (an
-    oblique projection through the prefix Gram matrix) and the others are
-    used as they are.  A second sweep runs whenever a non-trivial prefix is
-    present, otherwise when the norm drops below 1/sqrt(2) of its starting
-    value.
+    Returns the coefficients, the orthogonalized block and its weighted norm.
     """
-    before = weighted_norm(w, weight)
-    coeffs, w = _sweep(w, basis, weight, prefix_solve, prefix_count)
-    after = weighted_norm(w, weight)
-    if prefix_solve is not None or after < _REORTH_DROP * before:
-        extra, w = _sweep(w, basis, weight, prefix_solve, prefix_count)
-        coeffs += extra
-        after = weighted_norm(w, weight)
-    return coeffs, w, after
+    v = np.array(w, dtype=np.float64, order="C")
+    basis = np.asarray(basis, dtype=np.float64)
+    d, dv = _flat_weight(weight, v.shape[1])
+    coeffs, nrm = _cgs2(v.reshape(-1), basis.reshape(len(basis), -1), d, dv,
+                        prefix_solve, prefix_count)
+    return coeffs, v, nrm
 
 
 def arnoldi_run(op, v, weight, m):
@@ -131,6 +173,8 @@ def arnoldi_extend(dec, op, weight, from_j, to_m):
     prefix = np.asarray(dec.basis, dtype=np.float64)
     basis = np.empty((to_m + 1,) + prefix.shape[1:])
     basis[:from_j] = prefix
+    flat = basis.reshape(to_m + 1, -1)
+    d, dv = _flat_weight(weight, basis.shape[-1])
     size = from_j
     h = np.zeros((to_m + 1, to_m))
     h[: from_j, : from_j - 1] = dec.h
@@ -139,16 +183,17 @@ def arnoldi_extend(dec, op, weight, from_j, to_m):
     prefix_solve, prefix_count = _prefix_projector(prefix, weight)
 
     for col in range(from_j - 1, to_m):
-        w = op.apply(basis[col])
-        coeffs, w, nrm = _orthogonalize(w, basis[:size], weight, prefix_solve, prefix_count)
+        basis[size] = op.apply(basis[col])
+        v = flat[size]
+        coeffs, nrm = _cgs2(v, flat[:size], d, dv, prefix_solve, prefix_count)
         h[: col + 1, col] = coeffs
         h[col + 1, col] = nrm
-        hmax = max(hmax, float(np.abs(coeffs).max()) if coeffs.size else 0.0, nrm)
+        hmax = max(hmax, float(np.abs(coeffs).max()), nrm)
         if nrm <= BREAKDOWN_TOL * hmax:
             breakdown = col + 1
             h = h[: col + 2, : col + 1]
             break
-        np.divide(w, nrm, out=basis[size])
+        np.divide(v, nrm, out=v)
         size += 1
 
     basis.flags.writeable = False
@@ -162,9 +207,20 @@ def _prefix_projector(prefix, weight):
     if np.abs(gram - np.eye(len(prefix))).max() <= 1e-12:
         return None, 0
     try:
-        factor = scipy.linalg.cho_factor(gram)
-        return (lambda b: scipy.linalg.cho_solve(factor, b)), len(prefix)
+        factor, lower = scipy.linalg.cho_factor(gram)
     except np.linalg.LinAlgError:
         # weight change made the prefix numerically dependent; fall back to a
         # least-squares projection so the extension can still proceed
         return (lambda b: np.linalg.lstsq(gram, b, rcond=None)[0]), len(prefix)
+
+    def cho_solve(b):
+        # scipy.linalg.cho_solve's LAPACK call and checks, without its
+        # per-call argument handling
+        if not np.isfinite(b).all():
+            raise ValueError("array must not contain infs or NaNs")
+        x, info = dpotrs(factor, b, lower=lower)
+        if info != 0:
+            raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+        return x
+
+    return cho_solve, len(prefix)

@@ -51,7 +51,6 @@ class LsqSolution(NamedTuple):
 
 class QrFactors(NamedTuple):
     q: np.ndarray
-    gamma: np.ndarray
     kept: list
 
 
@@ -112,9 +111,9 @@ def reduced_qr(g):
     largest input column norm is dropped, and the kept columns are factored
     again, so ``q`` may have fewer than k columns and spans exactly the kept
     ones.  ``kept`` lists the surviving input column indices; ``q`` is
-    normalized to a nonnegative triangular diagonal and ``gamma = q^T g`` has
-    one row per kept column (upper triangular up to rounding when nothing is
-    dropped, with ``g ~ q @ gamma`` either way).
+    normalized to a nonnegative triangular diagonal, so ``q^T g`` is upper
+    triangular up to rounding when nothing is dropped, and ``g ~ q q^T g``
+    either way.
     """
     g = np.asarray(g, dtype=np.float64)
     if g.ndim != 2:
@@ -131,7 +130,7 @@ def reduced_qr(g):
         # leak into the later columns of q
         q, r = scipy.linalg.qr(g[:, kept], mode="economic")
     q = q * np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
-    return QrFactors(q, q.T @ g, kept)
+    return QrFactors(q, kept)
 
 
 def small_eig(mat):

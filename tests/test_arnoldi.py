@@ -235,6 +235,20 @@ def _weights_for(rng, n, s):
     }
 
 
+def _deflated_prefix(rng, op, m, k):
+    """Blocks and recurrence of a deflated restart after one cycle under a
+    diagonal weight, as the solver builds them."""
+    w_old = Weight.diagonal(rng.uniform(0.5, 2.0, op.n))
+    v = random_block(rng, op.n, op.s)
+    dec = arnoldi_run(op, v, w_old, m)
+    c = np.zeros(m + 1)
+    c[0] = weighted_norm(v, w_old)
+    sol = hessenberg_lsq(dec.h, c)
+    hs = select_and_realify(harmonic_pairs(dec.h), k)
+    blocks, new_h, _ = restart_subspace(dec, hs, sol.residual)
+    return blocks, new_h
+
+
 def _assert_matches_reference(w, basis, weight, prefix_solve=None, prefix_count=0):
     got = _orthogonalize(w, basis, weight, prefix_solve, prefix_count)
     ref = mgs_orthogonalize(w, basis, weight, prefix_solve, prefix_count)
@@ -258,15 +272,7 @@ class TestOrthogonalizeReference:
     @pytest.mark.parametrize("kind", ["identity", "diagonal", "elementwise"])
     def test_matches_mgs_with_mixed_weight_prefix(self, kind, rng):
         op = random_operator(rng, 12, 3)
-        w_old = Weight.diagonal(rng.uniform(0.5, 2.0, 12))
-        m, k = 6, 2
-        v = random_block(rng, 12, 3)
-        dec = arnoldi_run(op, v, w_old, m)
-        c = np.zeros(m + 1)
-        c[0] = weighted_norm(v, w_old)
-        sol = hessenberg_lsq(dec.h, c)
-        hs = select_and_realify(harmonic_pairs(dec.h), k)
-        blocks, new_h, _ = restart_subspace(dec, hs, sol.residual)
+        blocks, new_h = _deflated_prefix(rng, op, 6, 2)
         w_new = _weights_for(rng, 12, 3)[kind]
         # two fresh blocks after the prefix, orthogonal to it in the new weight
         ext = arnoldi_extend(ArnoldiDecomposition(blocks, new_h),
@@ -275,3 +281,76 @@ class TestOrthogonalizeReference:
         assert prefix_count == len(blocks)
         w = apply_sylvester(op, ext.basis[-1])
         _assert_matches_reference(w, ext.basis, w_new, prefix_solve, prefix_count)
+
+
+def mgs_extend(dec, op, weight, from_j, to_m):
+    """Reference: the Arnoldi loop on ``mgs_orthogonalize``, with a prefix
+    projection solved by ``np.linalg.solve`` on the prefix Gram matrix."""
+    basis = [np.array(b) for b in dec.basis]
+    h = np.zeros((to_m + 1, to_m))
+    h[:from_j, : from_j - 1] = dec.h
+    gram = diamond_product(basis, basis, weight)
+    prefix_solve, prefix_count = None, 0
+    if np.abs(gram - np.eye(from_j)).max() > 1e-12:
+        prefix_solve, prefix_count = (lambda b: np.linalg.solve(gram, b)), from_j
+    for col in range(from_j - 1, to_m):
+        w = apply_sylvester(op, basis[col])
+        coeffs, w, nrm = mgs_orthogonalize(w, basis, weight, prefix_solve, prefix_count)
+        h[: col + 1, col] = coeffs
+        h[col + 1, col] = nrm
+        basis.append(w / nrm)
+    return np.array(basis), h
+
+
+class TestExtendReference:
+    """arnoldi_extend against the per-block MGS loop, on the fresh path (one
+    start block) and on the mixed-weight-prefix path."""
+
+    @staticmethod
+    def _seeds(rng, op):
+        v = random_block(rng, op.n, op.s)
+        fresh = ArnoldiDecomposition([v / frob(v)], np.zeros((1, 0)))
+        mixed = ArnoldiDecomposition(*_deflated_prefix(rng, op, 6, 2))
+        return {"fresh": fresh, "mixed": mixed}
+
+    @pytest.mark.parametrize("path", ["fresh", "mixed"])
+    @pytest.mark.parametrize("kind", ["identity", "diagonal", "elementwise"])
+    def test_matches_mgs_loop(self, path, kind, rng):
+        op = random_operator(rng, 12, 3)
+        seed = self._seeds(rng, op)[path]
+        weight = _weights_for(rng, 12, 3)[kind]
+        p = len(seed.basis)
+        if path == "mixed":
+            # the new weight leaves the prefix non-orthonormal: the oblique path runs
+            assert _prefix_projector(np.asarray(seed.basis), weight)[1] == p
+        ext = arnoldi_extend(seed, op, weight, p, 6)
+        basis_ref, h_ref = mgs_extend(seed, op, weight, p, 6)
+        assert ext.breakdown is None
+        assert np.abs(ext.h - h_ref).max() <= _ORTH_RTOL * np.abs(h_ref).max()
+        assert frob(np.asarray(ext.basis) - basis_ref) <= _ORTH_RTOL * frob(basis_ref)
+
+    @pytest.mark.parametrize("path", ["fresh", "mixed"])
+    @pytest.mark.parametrize("kind", ["identity", "diagonal", "elementwise"])
+    def test_prefix_returned_bitwise(self, path, kind, rng):
+        op = random_operator(rng, 12, 3)
+        seed = self._seeds(rng, op)[path]
+        prefix = [np.array(b) for b in seed.basis]
+        weight = _weights_for(rng, 12, 3)[kind]
+        ext = arnoldi_extend(seed, op, weight, len(prefix), 6)
+        for got, given in zip(ext.basis, prefix):
+            assert np.array_equal(got, given)
+
+
+class TestOrthogonalizeInput:
+    @pytest.mark.parametrize("kind", ["identity", "diagonal", "elementwise"])
+    def test_input_block_unchanged(self, kind, rng):
+        op = random_operator(rng, 12, 3)
+        weight = _weights_for(rng, 12, 3)[kind]
+        blocks, new_h = _deflated_prefix(rng, op, 6, 2)
+        ext = arnoldi_extend(ArnoldiDecomposition(blocks, new_h), op, weight, len(blocks), 6)
+        prefix = _prefix_projector(ext.basis[: len(blocks)], weight)
+        for projector in ((None, 0), prefix):
+            for w in (apply_sylvester(op, ext.basis[-1]), random_block(rng, 12, 3)):
+                kept = w.copy(order="K")
+                _orthogonalize(w, ext.basis, weight, *projector)
+                assert np.array_equal(w, kept)

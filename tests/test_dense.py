@@ -168,13 +168,14 @@ class TestReducedQr:
     def test_orthonormal_input(self, rng):
         q0, _ = np.linalg.qr(rng.standard_normal((6, 3)))
         out = reduced_qr(q0)
-        assert np.allclose(np.abs(out.gamma), np.eye(3), atol=1e-13)
-        assert np.allclose(out.q @ out.gamma, q0, atol=1e-13)
+        assert np.allclose(np.abs(out.q.T @ q0), np.eye(3), atol=1e-13)
+        assert np.allclose(out.q @ (out.q.T @ q0), q0, atol=1e-13)
 
     def test_single_column(self):
-        out = reduced_qr(np.array([[3.0], [4.0]]))
+        g = np.array([[3.0], [4.0]])
+        out = reduced_qr(g)
         assert np.allclose(out.q, [[0.6], [0.8]])
-        assert np.allclose(out.gamma, [[5.0]])
+        assert np.allclose(out.q.T @ g, [[5.0]])
 
     @pytest.mark.parametrize("seed", range(6))
     def test_reconstruction_and_orthonormality(self, seed):
@@ -182,7 +183,7 @@ class TestReducedQr:
         g = rng.standard_normal((8, 4))
         out = reduced_qr(g)
         assert len(out.kept) == 4
-        assert np.linalg.norm(g - out.q @ out.gamma) <= 1e-13 * np.linalg.norm(g)
+        assert np.linalg.norm(g - out.q @ (out.q.T @ g)) <= 1e-13 * np.linalg.norm(g)
         assert np.linalg.norm(out.q.T @ out.q - np.eye(4)) <= 1e-13
 
     def test_dependent_columns_dropped(self, rng):
@@ -191,8 +192,8 @@ class TestReducedQr:
         out = reduced_qr(g)
         assert out.kept == [0, 1]
         assert out.q.shape == (7, 2)
-        # dropped column still reconstructed through gamma
-        assert np.allclose(out.q @ out.gamma[:, 2], g[:, 2], atol=1e-12)
+        # dropped column still reconstructed through its projection
+        assert np.allclose(out.q @ (out.q.T @ g)[:, 2], g[:, 2], atol=1e-12)
 
     def test_repeated_column_dropped_and_span_kept(self, rng):
         a = rng.standard_normal((7, 2))
@@ -202,7 +203,7 @@ class TestReducedQr:
         assert np.linalg.norm(out.q.T @ out.q - np.eye(2)) <= 1e-13
         # q spans {a0, a1}: both are reproduced by their projections
         assert np.linalg.norm(a - out.q @ (out.q.T @ a)) <= 1e-13 * np.linalg.norm(a)
-        assert np.linalg.norm(g - out.q @ out.gamma) <= 1e-13 * np.linalg.norm(g)
+        assert np.linalg.norm(g - out.q @ (out.q.T @ g)) <= 1e-13 * np.linalg.norm(g)
 
     @pytest.mark.parametrize("shape", [(6, 1), (8, 4), (10, 5), (12, 12), (21, 10)])
     def test_matches_mgs_reference(self, shape):
@@ -222,7 +223,7 @@ class TestReducedQr:
         assert out.kept == kept_ref
         kappa = np.linalg.cond(g[:, kept_ref])
         assert np.linalg.norm(out.q - q_ref) <= RTOL * kappa
-        assert np.linalg.norm(out.gamma - gamma_ref) <= RTOL * kappa * np.linalg.norm(g)
+        assert np.linalg.norm(out.q.T @ g - gamma_ref) <= RTOL * kappa * np.linalg.norm(g)
 
     def test_more_columns_than_rows(self, rng):
         with pytest.raises(ValueError):

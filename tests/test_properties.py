@@ -10,16 +10,27 @@ The projected-problem examples draw Hessenberg matrices whose square part
 H_m is exactly singular: the least squares must flag the rank deficiency and
 return the minimum-norm solution, and the harmonic Ritz pairs must still come
 back sorted by magnitude with conjugate pairs adjacent.
+
+Two solver edge cases are checked against ``kron_solve`` as well: a
+deflation count whose cut splits a complex conjugate pair of harmonic Ritz
+values (``select_and_realify`` grows or shrinks k), and a right-hand side
+that spans an invariant block, so the Arnoldi process breaks down at its
+first step.
 """
 
+from unittest.mock import patch
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sylgmres import SolverConfig, WeightStrategy, kron_solve, wglgmres, wglgmres_dr
+import sylgmres.solver as solver_mod
+from sylgmres import (SolverConfig, SylvesterOperator, Weight, WeightStrategy, kron_solve,
+                      wglgmres, wglgmres_dr)
+from sylgmres.arnoldi import arnoldi_run
 from sylgmres.core import apply_sylvester, frob
 from sylgmres.dense import hessenberg_lsq
-from sylgmres.solver import harmonic_pairs
+from sylgmres.solver import harmonic_pairs, select_and_realify
 
 from conftest import kron_matrix, random_block, random_hessenberg, random_operator
 
@@ -98,3 +109,112 @@ def test_harmonic_pairs_with_singular_square_part(seed, m, data):
     normal = h.T @ h
     for theta, g in zip(pairs.values, pairs.vectors.T):
         assert np.linalg.norm(normal @ g - theta * (h[:m].T @ g)) <= 1e-8 * np.linalg.norm(normal)
+
+
+def _pair_starts(values):
+    """Indices where select_and_realify's scan meets the first value of a
+    complex conjugate pair."""
+    starts, i = [], 0
+    while i < len(values):
+        if values[i].imag == 0.0:
+            i += 1
+        else:
+            starts.append(i)
+            i += 2
+    return starts
+
+
+def _rotation_operator(rng, n, s):
+    """Sylvester operator whose spectrum is complex conjugate pairs: A is
+    block diagonal with 2x2 rotation-scaling blocks plus a small dense
+    perturbation, B a positive diagonal."""
+    a = 0.05 * rng.standard_normal((n, n))
+    for j in range(0, n, 2):
+        re, im = rng.uniform(0.5, 3.0), rng.uniform(0.5, 2.0)
+        a[j:j + 2, j:j + 2] += [[re, im], [-im, re]]
+    return SylvesterOperator(a, np.diag(rng.uniform(0.1, 1.0, s)))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), half=st.integers(3, 6),
+       grow=st.booleans())
+def test_conjugate_pair_cut_at_k(seed, half, grow):
+    # The first cycle's harmonic pairs are those of arnoldi_run on C under
+    # the identity weight, as in the solver.  k is chosen so that the cut
+    # splits a conjugate pair: select_and_realify grows k by one when there
+    # is room below m - 2 and shrinks it by one at k = m - 2.
+    rng = np.random.default_rng(seed)
+    n, s = 2 * half, 2
+    op = _rotation_operator(rng, n, s)
+    c = random_block(rng, n, s)
+    choice = None
+    for m in range(5, 11):
+        dec = arnoldi_run(op, c, Weight.identity(), m)
+        if dec.breakdown is not None:
+            continue
+        cap = m - 2
+        starts = [p for p in _pair_starts(harmonic_pairs(dec.h).values) if p + 1 <= cap]
+        cut = [p for p in starts if p + 2 <= cap] if grow else [p for p in starts if p + 1 == cap]
+        if cut:
+            choice = (m, cut[0] + 1)
+            break
+    assume(choice is not None)
+    m, k = choice
+
+    seen = []
+
+    def recording(pairs, k_req):
+        out = select_and_realify(pairs, k_req)
+        seen.append((k_req, out.k_effective))
+        return out
+
+    cfg = SolverConfig(m=m, k=k, tol=TOL, maxit=300)
+    with patch.object(solver_mod, "select_and_realify", recording):
+        report = wglgmres_dr(op, c, cfg)
+    assert seen[0] == (k, k + 1 if grow else k - 1)
+    assert report.converged
+    true_rel = frob(c - apply_sylvester(op, report.x)) / frob(c)
+    assert true_rel <= TOL
+    sigma_min = np.linalg.svd(kron_matrix(op), compute_uv=False)[-1]
+    expect = kron_solve(op, c)
+    assert frob(report.x - expect) <= (1 + 1e-6) * true_rel * frob(c) / sigma_min + 1e-14
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(4, 10),
+    s=st.integers(2, 4),
+    strategy=st.sampled_from(["identity", "mean", "max-col", "hadamard"]),
+    k=st.sampled_from([0, 1, M - 2]),
+    with_x0=st.booleans(),
+)
+def test_breakdown_at_step_one_on_invariant_block(seed, n, s, strategy, k, with_x0):
+    # Rows S of A's columns are alpha e_i and rows T of B are beta e_j^T, so
+    # every block supported on S x T is invariant: op(Y) = (alpha + beta) Y up
+    # to one rounding per entry.  With C and x0 supported there, the first
+    # Arnoldi step breaks down and one cycle solves the system.
+    rng = np.random.default_rng(seed)
+    rows = rng.choice(n, size=rng.integers(1, n), replace=False)
+    cols = rng.choice(s, size=rng.integers(1, s + 1), replace=False)
+    alpha, beta = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+    a = rng.standard_normal((n, n)) / np.sqrt(n) + 3.0 * np.eye(n)
+    b = rng.standard_normal((s, s)) / np.sqrt(s) + 3.0 * np.eye(s)
+    a[:, rows] = 0.0
+    a[rows, rows] = alpha
+    b[cols, :] = 0.0
+    b[cols, cols] = beta
+    op = SylvesterOperator(a, b)
+    support = np.zeros((n, s), dtype=bool)
+    support[np.ix_(rows, cols)] = True
+    c = np.where(support, rng.standard_normal((n, s)), 0.0)
+    x0 = np.where(support, rng.standard_normal((n, s)), 0.0) if with_x0 else None
+    cfg = SolverConfig(m=M, k=k, tol=TOL, maxit=5, strategy=WeightStrategy(strategy))
+    report = (wglgmres_dr if k else wglgmres)(op, c, cfg, x0=x0)
+    assert report.breakdowns[0] == "cycle 1: invariant subspace at step 1"
+    assert report.converged and report.cycles == 1
+    true_rel = frob(c - apply_sylvester(op, report.x)) / frob(c)
+    assert true_rel <= TOL
+    sigma_min = np.linalg.svd(kron_matrix(op), compute_uv=False)[-1]
+    expect = kron_solve(op, c)
+    assert frob(report.x - expect) <= (1 + 1e-6) * true_rel * frob(c) / sigma_min + 1e-14

@@ -1,25 +1,37 @@
 """Weighted global Arnoldi process over block vectors.
 
 Builds a weight-orthonormal block basis for the matrix Krylov subspace of a
-Sylvester operator by classical Gram-Schmidt with reorthogonalization in the
-weighted inner product (Giraud, Langou, Rozloznik and van den Eshof, Numer.
-Math. 2005).  A global Krylov method on n x s blocks is weighted GMRES on
-vec(X) in R^(n*s), so each step works on flat views: the basis of a cycle is
-one read-only C-ordered (j+1, n, s) array, viewed as (j+1, n*s) rows, and the
-weight as one (n*s,) vector.  A Gram-Schmidt sweep is one GEMV for the
-coefficients and one for the update, the new block is built in place in its
-basis slot, and the recurrence coefficients land in a quasi upper Hessenberg
-matrix of shape (j+1) x j.
+Sylvester operator by classical Gram-Schmidt with delayed
+reorthogonalization (DCGS2: Swirydowicz, Langou, Ananthan, Yang and Thomas,
+Numer. Linear Algebra Appl. 2021; Bielich et al., Parallel Computing 2022).
+A global Krylov method on n x s blocks is weighted GMRES on vec(X) in
+R^(n*s), so each step works on flat views: the basis of a cycle is one
+read-only C-ordered (j+1, n, s) array, viewed as (j+1, n*s) rows, and the
+weight as one (n*s,) vector.  The recurrence coefficients land in a quasi
+upper Hessenberg matrix of shape (j+1) x j.
+
+Each block gets two Gram-Schmidt sweeps, as in CGS2, but its second sweep
+runs one step late, fused with the first sweep of the next block.  The
+newest block is *pending*: it has had one sweep and was normalized by its
+one-sweep norm.  A step applies the operator to the pending block, writes
+the result into the next slot, and then makes two passes over the basis:
+one matrix product takes the coefficients and norms of the pending block and
+of the new block together, and one applies both updates.  The new block is
+the image of the pending block before its second sweep; the difference
+lies in the span of the basis, so the relation op(V_i) = sum_k h[k,i] V_k
+of the earlier columns turns it into a change of coefficients only.  The
+second sweep also corrects the previous column.  The first step of a call
+has no pending block and runs one plain sweep; after the last step the
+pending block gets its second sweep alone, so a cycle ends one sweep late.
+Breakdown is tested on the one-sweep norm of each new block, and again on
+the corrected subdiagonal once its second sweep has run.
 
 The process can also continue from a retained prefix (the deflated-restart
 case): new blocks are orthogonalized against every existing block in the
 *current* weight while the prefix itself is never touched, so a basis built
 across a weight change is orthonormal in the mixed sense (prefix blocks in
 the weight of their construction, new blocks and all cross terms in the new
-weight).  Such a prefix forces the second Gram-Schmidt sweep on every step.
-That costs little: the 1/sqrt(2) rule alone runs it on most steps (1,054 of
-1,170 in the plain FDM n0=100 seed-7 solve), and a deflated step costs more
-than a plain one mainly through its larger basis.
+weight).  The coefficients on such a prefix go through its Gram matrix.
 """
 
 from __future__ import annotations
@@ -42,7 +54,6 @@ __all__ = ["ArnoldiDecomposition", "arnoldi_run", "arnoldi_extend"]
 # h_{j+1,j} at or below BREAKDOWN_TOL * max(1, largest |h| so far) stops the
 # recurrence: the Krylov subspace is (numerically) invariant.
 BREAKDOWN_TOL = 1e-14
-_REORTH_DROP = math.sqrt(0.5)
 
 
 @dataclass
@@ -73,61 +84,104 @@ def _norm(v, d):
     return math.sqrt(val) if val > 0.0 else 0.0
 
 
-def _cgs2(v, flat, d, dv, prefix_solve, prefix_count):
-    """Make the flat vector ``v`` weight-orthogonal to the rows of ``flat``,
-    in place; returns the coefficients and the remaining weighted norm.
+def _sweep(v, flat, d, work, prefix_solve, prefix_count):
+    """One classical Gram-Schmidt sweep: make the flat vector ``v``
+    weight-orthogonal to the rows of ``flat``, in place; returns the
+    coefficients.
 
-    Classical Gram-Schmidt with reorthogonalization: a sweep takes every
-    coefficient with one GEMV against ``D v`` (formed in the scratch vector
-    ``dv``; ``d`` is the flat weight, None for the identity) and removes them
-    with one GEMV.  Rows beyond ``prefix_count`` are orthonormal in the
-    weight.  The leading ``prefix_count`` rows may fail to be (a restart
-    prefix carried across a weight change), but every later row was made
-    orthogonal to them in the weight, so the Gram matrix is block diagonal:
-    the prefix coefficients go through ``prefix_solve`` (an oblique
+    The coefficients come from one GEMV against ``D v`` (``d`` is the flat
+    weight, None for the identity) and are removed with one GEMV; ``work``
+    is a (2, n*s) scratch array.  Rows beyond ``prefix_count`` are
+    orthonormal in the weight.  The leading ``prefix_count`` rows may fail to
+    be (a restart prefix carried across a weight change), but every later row
+    was made orthogonal to them in the weight, so the Gram matrix is block
+    diagonal: the prefix coefficients go through ``prefix_solve`` (an oblique
     projection through the prefix Gram matrix) and the others are used as
-    they are.  A second sweep runs whenever a non-trivial prefix is present,
-    otherwise when the norm drops below 1/sqrt(2) of its starting value.
+    they are.
     """
-    before = _norm(v, d)
-    coeffs = None
-    for _ in range(2):
-        weighted = v if d is None else np.multiply(d, v, out=dv)
-        # (b, N) @ (N, 1), the shapes diamond_product used: the same BLAS
-        # call, so the same rounding
-        t = (flat @ weighted[:, None])[:, 0]
-        if prefix_solve is not None:
-            t[:prefix_count] = prefix_solve(t[:prefix_count])
-        np.subtract(v, t @ flat, out=v)
-        after = _norm(v, d)
-        coeffs = t if coeffs is None else coeffs + t
-        if prefix_solve is None and after >= _REORTH_DROP * before:
-            break
-    return coeffs, after
+    weighted = v if d is None else np.multiply(d, v, out=work[0])
+    t = flat @ weighted
+    if prefix_solve is not None:
+        t[:prefix_count] = prefix_solve(t[:prefix_count])
+    np.subtract(v, np.matmul(t, flat, out=work[1]), out=v)
+    return t
+
+
+def _fold_second_sweep(h, p, a, nu2):
+    """Fold the second sweep of block ``p`` (coefficients ``a``, remaining
+    norm ``nu2`` of the block normalized after its first sweep) into column
+    p - 1, which was written from the first sweep; returns the corrected
+    subdiagonal entry."""
+    nu1 = h[p, p - 1]
+    h[:p, p - 1] += nu1 * a
+    h[p, p - 1] = nu1 * nu2
+    return nu1 * nu2
+
+
+def _fused_step(flat, p, h, d, work, prefix_solve, prefix_count, floor):
+    """Second sweep of the pending block ``p`` and first sweep of the new
+    block ``p + 1`` (the operator applied to the pending block), in place.
+
+    Both sweeps share one GEMM for the coefficients and one for the update.
+    Column p - 1 is corrected, column p is written and the pending block is
+    normalized.  The new block is left unnormalized: its one-sweep norm is
+    its weighted norm divided by the returned norm ``nu2`` of the swept
+    pending block.  Returns None, after correcting column p - 1 only, if its
+    subdiagonal entry is at or below ``floor``: the pending block lies in
+    the span of the others.
+    """
+    pair = flat[p:p + 2]
+    weighted = pair if d is None else np.multiply(d, pair, out=work)
+    s = flat[:p + 1] @ weighted.T
+    raw = s[:p]
+    if prefix_solve is not None:
+        raw = raw.copy()
+        s[:prefix_count] = prefix_solve(raw[:prefix_count])
+    a = s[:p, 0]
+    aa, ab = (a @ raw).tolist()
+    gamma, omega = s[p].tolist()
+    # ||V_p - V_< a||^2 = gamma - a . a_raw: the Gram matrix of V_< is block
+    # diagonal, with a = G a_raw on the prefix rows and a = a_raw elsewhere
+    nu2 = math.sqrt(max(gamma - aa, 0.0))
+    if _fold_second_sweep(h, p, a, nu2) <= floor:
+        return None
+    # op(swept V_p) = (new block - op(V_<) a) / nu2, and op(V_<) a = V H a
+    c = (omega - ab) / nu2
+    s[p, 1] = c
+    hcol = h[:p + 1, p]
+    np.subtract(s[:, 1], np.matmul(h[:p + 1, :p], a), out=hcol)
+    np.divide(hcol, nu2, out=hcol)
+    # new block -= V_< b + c (swept V_p), with swept V_p = (V_p - V_< a) / nu2;
+    # the pending block's own coefficient 1 - 1/nu2 normalizes it in the update
+    r = c / nu2
+    s[:p, 1] -= r * a
+    s[p] = 1.0 - 1.0 / nu2, r
+    a /= nu2
+    np.subtract(pair, np.matmul(s.T, flat[:p + 1], out=work), out=pair)
+    return nu2
 
 
 def _flat_weight(weight, s):
-    """The weight as one flat (n*s,) vector and a scratch vector of its size,
-    or (None, None) for the identity."""
+    """The weight as one flat (n*s,) vector, or None for the identity."""
     entries = weight._entries(s)
-    if entries is None:
-        return None, None
-    d = entries.reshape(-1)
-    return d, np.empty_like(d)
+    return None if entries is None else entries.reshape(-1)
 
 
 def _orthogonalize(w, basis, weight, prefix_solve=None, prefix_count=0):
     """Make a copy of the (n, s) block ``w`` weight-orthogonal to every block
-    of the stacked ``basis`` (see :func:`_cgs2`); ``w`` is not modified.
+    of the stacked ``basis`` by the two sweeps each Arnoldi block gets (see
+    :func:`_sweep`), run back to back; ``w`` is not modified.
 
     Returns the coefficients, the orthogonalized block and its weighted norm.
     """
     v = np.array(w, dtype=np.float64, order="C")
-    basis = np.asarray(basis, dtype=np.float64)
-    d, dv = _flat_weight(weight, v.shape[1])
-    coeffs, nrm = _cgs2(v.reshape(-1), basis.reshape(len(basis), -1), d, dv,
-                        prefix_solve, prefix_count)
-    return coeffs, v, nrm
+    x = v.reshape(-1)
+    flat = np.asarray(basis, dtype=np.float64).reshape(len(basis), -1)
+    d = _flat_weight(weight, v.shape[1])
+    work = np.empty((2, x.size))
+    coeffs = (_sweep(x, flat, d, work, prefix_solve, prefix_count)
+              + _sweep(x, flat, d, work, prefix_solve, prefix_count))
+    return coeffs, v, _norm(x, d)
 
 
 def arnoldi_run(op, v, weight, m):
@@ -174,7 +228,8 @@ def arnoldi_extend(dec, op, weight, from_j, to_m):
     basis = np.empty((to_m + 1,) + prefix.shape[1:])
     basis[:from_j] = prefix
     flat = basis.reshape(to_m + 1, -1)
-    d, dv = _flat_weight(weight, basis.shape[-1])
+    d = _flat_weight(weight, basis.shape[-1])
+    work = np.empty((2, flat.shape[1]))
     size = from_j
     h = np.zeros((to_m + 1, to_m))
     h[: from_j, : from_j - 1] = dec.h
@@ -183,18 +238,37 @@ def arnoldi_extend(dec, op, weight, from_j, to_m):
     prefix_solve, prefix_count = _prefix_projector(prefix, weight)
 
     for col in range(from_j - 1, to_m):
+        # block col is pending from the second step on: size == col + 1
         basis[size] = op.apply(basis[col])
         v = flat[size]
-        coeffs, nrm = _cgs2(v, flat[:size], d, dv, prefix_solve, prefix_count)
-        h[: col + 1, col] = coeffs
-        h[col + 1, col] = nrm
-        hmax = max(hmax, float(np.abs(coeffs).max()), nrm)
+        if size == from_j:
+            h[:size, col] = _sweep(v, flat[:size], d, work, prefix_solve, prefix_count)
+            scale = 1.0
+        else:
+            scale = _fused_step(flat, col, h, d, work, prefix_solve, prefix_count,
+                                BREAKDOWN_TOL * hmax)
+            if scale is None:
+                breakdown = size = col
+                h = h[: col + 1, : col]
+                break
+        nrm = _norm(v, d) / scale
+        h[size, col] = nrm
+        hmax = max(hmax, float(np.abs(h[: size + 1, col]).max()))
         if nrm <= BREAKDOWN_TOL * hmax:
             breakdown = col + 1
             h = h[: col + 2, : col + 1]
             break
-        np.divide(v, nrm, out=v)
+        np.divide(v, nrm * scale, out=v)
         size += 1
+    else:
+        # the second sweep of the last block, alone
+        v = flat[to_m]
+        a = _sweep(v, flat[:to_m], d, work, prefix_solve, prefix_count)
+        nu2 = _norm(v, d)
+        if _fold_second_sweep(h, to_m, a, nu2) <= BREAKDOWN_TOL * hmax:
+            breakdown = size = to_m
+        else:
+            np.divide(v, nu2, out=v)
 
     basis.flags.writeable = False
     return ArnoldiDecomposition(basis[:size], h, breakdown)

@@ -11,11 +11,13 @@ H_m is exactly singular: the least squares must flag the rank deficiency and
 return the minimum-norm solution, and the harmonic Ritz pairs must still come
 back sorted by magnitude with conjugate pairs adjacent.
 
-Two solver edge cases are checked against ``kron_solve`` as well: a
+Three solver edge cases are checked against ``kron_solve`` as well: a
 deflation count whose cut splits a complex conjugate pair of harmonic Ritz
-values (``select_and_realify`` grows or shrinks k), and a right-hand side
-that spans an invariant block, so the Arnoldi process breaks down at its
-first step.
+values (``select_and_realify`` grows or shrinks k), a right-hand side that
+spans an invariant block, so the Arnoldi process breaks down at its first
+step, and an operator with three distinct eigenvalues, so it breaks down at
+its third step, while the block of the second step still waits for its
+delayed second Gram-Schmidt sweep.
 """
 
 from unittest.mock import patch
@@ -218,3 +220,32 @@ def test_breakdown_at_step_one_on_invariant_block(seed, n, s, strategy, k, with_
     sigma_min = np.linalg.svd(kron_matrix(op), compute_uv=False)[-1]
     expect = kron_solve(op, c)
     assert frob(report.x - expect) <= (1 + 1e-6) * true_rel * frob(c) / sigma_min + 1e-14
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 10), s=st.integers(1, 3))
+def test_breakdown_at_step_three_with_a_pending_block(seed, n, s):
+    # A = Q diag(lambda) Q^T takes three well-separated values and B = 0, so
+    # the Krylov space of C has dimension 3 and step 3 breaks down.  C has a
+    # component of unit norm in each eigenspace: a weakly excited one would
+    # leave a rounding remainder above the breakdown tolerance at step 3.
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(0.5, 1.5) + np.cumsum(rng.uniform(0.5, 1.5, 3))
+    labels = rng.permutation(np.concatenate([np.arange(3), rng.integers(0, 3, n - 3)]))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    op = SylvesterOperator((q * values[labels]) @ q.T, np.zeros((s, s)))
+    y = rng.standard_normal((n, s))
+    for g in range(3):
+        y[labels == g] /= frob(y[labels == g])
+    c = q @ y
+    assert arnoldi_run(op, c, Weight.identity(), M).breakdown == 3
+    expect = kron_solve(op, c)
+    sigma_min = values.min()
+    for strategy, k in (("identity", 0), ("mean", 3)):
+        cfg = SolverConfig(m=M, k=k, tol=TOL, maxit=5, strategy=WeightStrategy(strategy))
+        report = wglgmres_dr(op, c, cfg)
+        assert report.breakdowns[0] == "cycle 1: invariant subspace at step 3"
+        assert report.converged and report.cycles == 1
+        true_rel = frob(c - apply_sylvester(op, report.x)) / frob(c)
+        assert true_rel <= TOL
+        assert frob(report.x - expect) <= (1 + 1e-6) * true_rel * frob(c) / sigma_min + 1e-14

@@ -51,8 +51,10 @@ from .core import as_block, diamond_product, weighted_inner, weighted_norm  # no
 
 __all__ = ["ArnoldiDecomposition", "arnoldi_run", "arnoldi_extend"]
 
-# h_{j+1,j} at or below BREAKDOWN_TOL * max(1, largest |h| so far) stops the
-# recurrence: the Krylov subspace is (numerically) invariant.
+# h_{j+1,j} at or below BREAKDOWN_TOL * (largest |h| so far, the new column
+# included) stops the recurrence: the Krylov subspace is (numerically)
+# invariant.  The floor is relative, so it does not depend on the scale of
+# the operator.
 BREAKDOWN_TOL = 1e-14
 
 
@@ -161,29 +163,6 @@ def _fused_step(flat, p, h, d, work, prefix_solve, prefix_count, floor):
     return nu2
 
 
-def _flat_weight(weight, s):
-    """The weight as one flat (n*s,) vector, or None for the identity."""
-    entries = weight._entries(s)
-    return None if entries is None else entries.reshape(-1)
-
-
-def _orthogonalize(w, basis, weight, prefix_solve=None, prefix_count=0):
-    """Make a copy of the (n, s) block ``w`` weight-orthogonal to every block
-    of the stacked ``basis`` by the two sweeps each Arnoldi block gets (see
-    :func:`_sweep`), run back to back; ``w`` is not modified.
-
-    Returns the coefficients, the orthogonalized block and its weighted norm.
-    """
-    v = np.array(w, dtype=np.float64, order="C")
-    x = v.reshape(-1)
-    flat = np.asarray(basis, dtype=np.float64).reshape(len(basis), -1)
-    d = _flat_weight(weight, v.shape[1])
-    work = np.empty((2, x.size))
-    coeffs = (_sweep(x, flat, d, work, prefix_solve, prefix_count)
-              + _sweep(x, flat, d, work, prefix_solve, prefix_count))
-    return coeffs, v, _norm(x, d)
-
-
 def arnoldi_run(op, v, weight, m):
     """Run m weighted global Arnoldi steps from the start block ``v``.
 
@@ -228,12 +207,12 @@ def arnoldi_extend(dec, op, weight, from_j, to_m):
     basis = np.empty((to_m + 1,) + prefix.shape[1:])
     basis[:from_j] = prefix
     flat = basis.reshape(to_m + 1, -1)
-    d = _flat_weight(weight, basis.shape[-1])
+    d = None if weight.data is None else weight.data.reshape(-1)
     work = np.empty((2, flat.shape[1]))
     size = from_j
     h = np.zeros((to_m + 1, to_m))
     h[: from_j, : from_j - 1] = dec.h
-    hmax = max(1.0, float(np.abs(dec.h).max()) if dec.h.size else 0.0)
+    hmax = float(np.abs(dec.h).max()) if dec.h.size else 0.0
     breakdown = None
     prefix_solve, prefix_count = _prefix_projector(prefix, weight)
 

@@ -1,10 +1,11 @@
 """Block vectors, sparse operators and weighted inner products.
 
 A "block vector" is a dense real n x s matrix treated as a single Krylov
-atom.  The inner product of two blocks Y, Z under a positive diagonal weight
-D is trace(Z^T D Y); an entrywise-positive weight W replaces D Y with the
-Hadamard product W * Y.  The diamond product of two block sequences collects
-all pairwise weighted inner products into a small Gram matrix.
+atom.  The inner product of two blocks Y, Z under an entrywise-positive n x s
+weight W is trace(Z^T (W * Y)), with * the Hadamard product; a positive
+diagonal D is the W that repeats D over the columns, giving trace(Z^T D Y).
+The diamond product of two block sequences collects all pairwise weighted
+inner products into a small Gram matrix.
 
 Block vectors are plain float64 ndarrays.  A sequence of r blocks is one
 C-ordered (r, n, s) array (a list of blocks is stacked into one), so its
@@ -58,85 +59,45 @@ def frob(x):
 
 
 class Weight:
-    """Positive weight defining the block inner product trace(Z^T D Y).
+    """Positive weight defining the block inner product trace(Z^T (W * Y)).
 
-    Three variants: ``identity`` (plain Frobenius inner product), ``diagonal``
-    (positive diagonal D of length n) and ``elementwise`` (positive n x s
-    matrix combined by Hadamard product).  Weights are immutable; ``tag``
-    records how the weight was constructed, for diagnostics.
+    ``data`` is one read-only C-ordered n x s array W of finite positive
+    entries, or None for the identity (plain Frobenius inner product).  A
+    diagonal weight D is stored as W, D repeated over the s columns: a product
+    with the full array runs as one contiguous loop, where broadcasting an
+    (n, 1) column loops over rows of length s.  On vec(Y) every weight is the
+    diagonal diag(vec W); ``data.reshape(-1)`` is it for the flat C-ordered
+    block.  ``tag`` records how the weight was constructed, for diagnostics.
     """
 
-    __slots__ = ("kind", "data", "tag", "_columns")
+    __slots__ = ("data", "tag")
 
-    def __init__(self, kind, data, tag):
-        self.kind = kind
-        self.data = data
+    def __init__(self, entries, tag="entrywise"):
+        if entries is not None:
+            entries = np.array(entries, dtype=np.float64, order="C")
+            if entries.ndim != 2:
+                raise ValueError(f"weight must be an n x s array, got shape {entries.shape}")
+            if not (0.0 < entries.min() and entries.max() < np.inf):  # NaN fails too
+                raise ValueError("weight entries must be finite and > 0")
+            entries.flags.writeable = False
+        self.data = entries
         self.tag = tag
-        self._columns = None  # diagonal repeated over the block columns
 
     @classmethod
     def identity(cls, tag="identity"):
-        return cls("identity", None, tag)
+        return cls(None, tag)
 
     @classmethod
-    def diagonal(cls, d, tag="diagonal"):
-        d = np.ascontiguousarray(d, dtype=np.float64)
+    def diagonal(cls, d, s, tag="diagonal"):
+        """The diagonal weight D (a length-n vector) on n x s blocks."""
+        d = np.asarray(d, dtype=np.float64)
         if d.ndim != 1:
             raise ValueError("diagonal weight must be a 1-d vector")
-        if not np.isfinite(d).all() or np.any(d <= 0.0):
-            raise ValueError("diagonal weight entries must be finite and > 0")
-        d.flags.writeable = False
-        return cls("diagonal", d, tag)
-
-    @classmethod
-    def elementwise(cls, w, tag="elementwise"):
-        # C order, like the blocks it multiplies
-        w = np.ascontiguousarray(as_block(w, name="elementwise weight"))
-        if np.any(w <= 0.0):
-            raise ValueError("elementwise weight entries must be > 0")
-        w.flags.writeable = False
-        return cls("elementwise", w, tag)
-
-    def _check(self, y):
-        """Check the weight against the trailing (n, s) dimensions of ``y``."""
-        if self.kind == "diagonal" and self.data.shape[0] != y.shape[-2]:
-            raise ValueError(
-                f"diagonal weight length {self.data.shape[0]} does not match "
-                f"block rows {y.shape[-2]}"
-            )
-        if self.kind == "elementwise" and self.data.shape != y.shape[-2:]:
-            raise ValueError(
-                f"elementwise weight shape {self.data.shape} does not match "
-                f"block shape {y.shape[-2:]}"
-            )
-
-    def _entries(self, s):
-        """The weight as a read-only entrywise (n, s) array; None for identity.
-
-        A diagonal weight is repeated over the s columns once per width: an
-        elementwise product with the (n, s) array runs as one contiguous loop,
-        where broadcasting the (n, 1) column loops over rows of length s.
-        """
-        if self.kind != "diagonal":
-            return self.data
-        if self._columns is None or self._columns.shape[1] != s:
-            cols = np.repeat(self.data[:, None], s, axis=1)
-            cols.flags.writeable = False
-            self._columns = cols
-        return self._columns
-
-    def scale(self, y):
-        """Return D @ y (diagonal), W * y (elementwise) or y (identity).
-
-        ``y`` is one (n, s) block or a stack of them; the weight broadcasts
-        over the leading dimension.
-        """
-        self._check(y)
-        w = self._entries(y.shape[-1])
-        return y if w is None else w * y
+        return cls(np.broadcast_to(d[:, None], (d.size, s)), tag)
 
     def __repr__(self):
-        return f"Weight(kind={self.kind!r}, tag={self.tag!r})"
+        shape = None if self.data is None else self.data.shape
+        return f"Weight(shape={shape}, tag={self.tag!r})"
 
 
 # B is kept as a dense copy for X @ B when it has at most this many rows.
@@ -193,18 +154,21 @@ def apply_sylvester(op, x):
     return op.a @ x + x @ b
 
 
-def weighted_inner(y, z, weight):
-    """Weighted inner product of two equally shaped blocks.
+def _weight_entries(weight, shape):
+    """``weight.data``, checked against the trailing (n, s) block ``shape``."""
+    w = weight.data
+    if w is not None and w.shape != shape[-2:]:
+        raise ValueError(f"weight shape {w.shape} does not match block shape {shape[-2:]}")
+    return w
 
-    trace(Z^T D Y) for identity/diagonal weights, trace(Z^T (W * Y)) for the
-    elementwise variant.
-    """
+
+def weighted_inner(y, z, weight):
+    """Weighted inner product trace(Z^T (W * Y)) of two equally shaped blocks."""
     y = np.asarray(y)
     z = np.asarray(z)
     if y.shape != z.shape:
         raise ValueError(f"block shapes differ: {y.shape} vs {z.shape}")
-    weight._check(y)
-    w = weight._entries(y.shape[1])
+    w = _weight_entries(weight, y.shape)
     if w is None:
         return float(np.einsum("ij,ij->", y, z))
     return float(np.einsum("ij,ij,ij->", w, y, z))
@@ -243,7 +207,10 @@ def diamond_product(u, v, weight):
     v = _stacked(v, "right")
     if u.shape[1:] != v.shape[1:]:
         raise ValueError("all blocks must share one shape")
-    return u.reshape(len(u), -1) @ weight.scale(v).reshape(len(v), -1).T
+    w = _weight_entries(weight, v.shape)
+    if w is not None:
+        v = w * v
+    return u.reshape(len(u), -1) @ v.reshape(len(v), -1).T
 
 
 def basis_combine(basis, coeffs):

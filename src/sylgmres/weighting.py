@@ -50,11 +50,13 @@ class WeightStrategy:
             raise ValueError("the random strategy needs an explicit seed")
 
 
-def _floored(values, floor_rel, tag, make):
+def _floored(values, shape, floor_rel, tag):
+    """The weight on blocks of ``shape`` with entries ``values`` (n x s, or an
+    n x 1 diagonal) floored at ``floor_rel`` times their largest, if positive."""
     mx = float(values.max()) if values.size else 0.0
     if mx <= 0.0:
         return Weight.identity(tag=f"identity[degenerate:{tag}]")
-    return make(np.maximum(values, floor_rel * mx), tag=tag)
+    return Weight(np.broadcast_to(np.maximum(values, floor_rel * mx), shape), tag)
 
 
 def make_weight(strategy, residual=None, rhs=None):
@@ -76,7 +78,7 @@ def make_weight(strategy, residual=None, rhs=None):
         if nrm == 0.0:
             return Weight.identity(tag="identity[degenerate:hadamard]")
         w = np.sqrt(c.size) * np.abs(c) / nrm
-        return _floored(w, strategy.floor_rel, "hadamard", Weight.elementwise)
+        return _floored(w, c.shape, strategy.floor_rel, "hadamard")
 
     if residual is None:
         raise ValueError(f"{kind} weighting needs the current residual block")
@@ -85,8 +87,8 @@ def make_weight(strategy, residual=None, rhs=None):
         raise ValueError("residual must be an n x s block")
 
     if kind == "random":
-        d = np.random.default_rng(strategy.seed).uniform(0.0, 2.0, r.shape[0])
-        return _floored(d, strategy.floor_rel, f"random[{strategy.seed}]", Weight.diagonal)
+        d = np.random.default_rng(strategy.seed).uniform(0.0, 2.0, (r.shape[0], 1))
+        return _floored(d, r.shape, strategy.floor_rel, f"random[{strategy.seed}]")
 
     if np.abs(r).max() < _ZERO_RESIDUAL:
         return Weight.identity(tag=f"identity[degenerate:{kind}]")
@@ -96,9 +98,8 @@ def make_weight(strategy, residual=None, rhs=None):
         t = int(np.argmax(norms) if kind == "max-col" else np.argmin(norms))
         if norms[t] == 0.0:
             return Weight.identity(tag=f"identity[degenerate:{kind}]")
-        d = np.abs(r[:, t]) / norms[t]
-        return _floored(d, strategy.floor_rel, kind, Weight.diagonal)
+        return _floored(np.abs(r[:, t:t + 1]) / norms[t], r.shape, strategy.floor_rel, kind)
 
     # kind == "mean"
-    d = np.abs(r.mean(axis=1))
-    return _floored(d, strategy.floor_rel, "mean", Weight.diagonal)
+    d = np.abs(r.mean(axis=1, keepdims=True))
+    return _floored(d, r.shape, strategy.floor_rel, "mean")

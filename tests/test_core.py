@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from sylgmres import SylvesterOperator, Weight
+from sylgmres.arnoldi import ArnoldiDecomposition, arnoldi_extend
 from sylgmres.core import (
     DENSE_B_MAX_S,
     apply_sylvester,
@@ -65,7 +66,7 @@ class TestWeightedInner:
     def test_diagonal_by_hand(self):
         y = np.array([[1.0], [2.0]])
         z = np.array([[3.0], [4.0]])
-        w = Weight.diagonal([2.0, 3.0])
+        w = Weight.diagonal([2.0, 3.0], 1)
         # trace(Z^T D Y) = 3*2*1 + 4*3*2
         assert weighted_inner(y, z, w) == pytest.approx(30.0, rel=1e-14)
 
@@ -74,7 +75,7 @@ class TestWeightedInner:
         y = random_block(rng, n, s)
         z = random_block(rng, n, s)
         d = rng.uniform(0.5, 2.0, n)
-        w = Weight.diagonal(d)
+        w = Weight.diagonal(d, s)
         big_d = np.kron(np.eye(s), np.diag(d))
         expect = z.ravel(order="F") @ big_d @ y.ravel(order="F")
         assert weighted_inner(y, z, w) == pytest.approx(expect, rel=1e-13)
@@ -83,7 +84,7 @@ class TestWeightedInner:
         y = random_block(rng, 4, 2)
         z = random_block(rng, 4, 2)
         wm = rng.uniform(0.5, 2.0, (4, 2))
-        w = Weight.elementwise(wm)
+        w = Weight(wm)
         expect = np.trace(z.T @ (wm * y))
         assert weighted_inner(y, z, w) == pytest.approx(expect, rel=1e-13)
 
@@ -92,14 +93,14 @@ class TestWeightedInner:
             weighted_inner(random_block(rng, 3, 2), random_block(rng, 2, 3), Weight.identity())
         with pytest.raises(ValueError):
             weighted_inner(random_block(rng, 3, 2), random_block(rng, 3, 2),
-                           Weight.diagonal(np.ones(4)))
+                           Weight.diagonal(np.ones(4), 2))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_bilinearity(self, seed):
         rng = np.random.default_rng(seed)
         n, s = 6, 2
         y1, y2, z = (random_block(rng, n, s) for _ in range(3))
-        w = Weight.diagonal(rng.uniform(0.1, 3.0, n))
+        w = Weight.diagonal(rng.uniform(0.1, 3.0, n), s)
         alpha = rng.standard_normal()
         lhs = weighted_inner(alpha * y1 + y2, z, w)
         rhs = alpha * weighted_inner(y1, z, w) + weighted_inner(y2, z, w)
@@ -110,7 +111,7 @@ class TestWeightedInner:
         rng = np.random.default_rng(seed)
         y = random_block(rng, 7, 3)
         z = random_block(rng, 7, 3)
-        w = Weight.diagonal(rng.uniform(0.1, 3.0, 7))
+        w = Weight.diagonal(rng.uniform(0.1, 3.0, 7), 3)
         a = weighted_inner(y, z, w)
         b = weighted_inner(z, y, w)
         assert abs(a - b) <= 1e-13 * max(abs(a), 1.0)
@@ -128,7 +129,7 @@ class TestWeightedNorm:
         n, s = 6, 2
         y = random_block(rng, n, s)
         d = rng.uniform(0.2, 4.0, n)
-        got = weighted_norm(y, Weight.diagonal(d))
+        got = weighted_norm(y, Weight.diagonal(d, s))
         expect = np.linalg.norm(np.sqrt(d)[:, None] * y)
         assert got == pytest.approx(expect, rel=1e-13)
 
@@ -136,22 +137,28 @@ class TestWeightedNorm:
     def test_positivity(self, seed):
         rng = np.random.default_rng(seed)
         y = random_block(rng, 5, 2)
-        w = Weight.diagonal(rng.uniform(0.01, 1.0, 5))
+        w = Weight.diagonal(rng.uniform(0.01, 1.0, 5), 2)
         assert weighted_norm(y, w) > 0.0
 
     def test_weight_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            Weight.diagonal([1.0, 0.0])
+            Weight.diagonal([1.0, 0.0], 2)
         with pytest.raises(ValueError):
-            Weight.diagonal([1.0, -2.0])
+            Weight.diagonal([1.0, -2.0], 2)
         with pytest.raises(ValueError):
-            Weight.elementwise(np.zeros((2, 2)))
+            Weight(np.zeros((2, 2)))
+        with pytest.raises(ValueError):
+            Weight([[1.0, np.inf]])
+        with pytest.raises(ValueError):
+            Weight(np.ones(3))  # a diagonal needs its block width
+        with pytest.raises(ValueError):
+            Weight.diagonal(np.ones((2, 2)), 2)
 
 
 class TestDiamondProduct:
     def test_normalized_single_block(self, rng):
         v = random_block(rng, 5, 2)
-        w = Weight.diagonal(rng.uniform(0.5, 1.5, 5))
+        w = Weight.diagonal(rng.uniform(0.5, 1.5, 5), 2)
         v = v / weighted_norm(v, w)
         g = diamond_product([v], [v], w)
         assert g.shape == (1, 1)
@@ -169,7 +176,7 @@ class TestDiamondProduct:
         u = [random_block(rng, n, s) for _ in range(3)]
         v = [random_block(rng, n, s) for _ in range(3)]
         d = rng.uniform(0.3, 2.0, n)
-        got = diamond_product(u, v, Weight.diagonal(d))
+        got = diamond_product(u, v, Weight.diagonal(d, s))
         scaled = [d[:, None] * b for b in v]
         expect = diamond_product(u, scaled, Weight.identity())
         assert np.allclose(got, expect, rtol=1e-12)
@@ -218,24 +225,27 @@ class TestStackedBlocks:
     def test_stack_and_list_agree_with_pairwise_inner(self, kind, rng):
         n, s = 6, 3
         weight = {"identity": Weight.identity(),
-                  "diagonal": Weight.diagonal(rng.uniform(0.2, 3.0, n)),
-                  "elementwise": Weight.elementwise(rng.uniform(0.2, 3.0, (n, s)))}[kind]
+                  "diagonal": Weight.diagonal(rng.uniform(0.2, 3.0, n), s),
+                  "elementwise": Weight(rng.uniform(0.2, 3.0, (n, s)))}[kind]
         u = [random_block(rng, n, s) for _ in range(3)]
         v = [random_block(rng, n, s) for _ in range(2)]
         expect = np.array([[weighted_inner(ui, vj, weight) for vj in v] for ui in u])
         assert np.allclose(diamond_product(u, v, weight), expect, rtol=1e-13)
         assert np.allclose(diamond_product(np.stack(u), np.stack(v), weight), expect, rtol=1e-13)
-        stack = np.stack(v)
-        scaled = weight.scale(stack)
-        for j in range(2):
-            assert np.allclose(scaled[j], weight.scale(v[j]), rtol=1e-15)
 
     def test_weight_checks_trailing_dimensions(self, rng):
+        op = random_operator(rng, 4, 2)
         stack = np.stack([random_block(rng, 4, 2) for _ in range(3)])
-        with pytest.raises(ValueError):
-            Weight.diagonal(np.ones(3)).scale(stack)
-        with pytest.raises(ValueError):
-            Weight.elementwise(np.ones((4, 3))).scale(stack)
+        seed = ArnoldiDecomposition(stack[:1], np.zeros((1, 0)))
+        # the transposed (s, n) weight has the flat size of the blocks
+        for weight in (Weight.diagonal(np.ones(3), 2), Weight(np.ones((4, 3))),
+                       Weight(np.ones((2, 4)))):
+            with pytest.raises(ValueError, match="weight shape"):
+                weighted_inner(stack[0], stack[1], weight)
+            with pytest.raises(ValueError, match="weight shape"):
+                diamond_product(stack, stack, weight)
+            with pytest.raises(ValueError, match="weight shape"):
+                arnoldi_extend(seed, op, weight, 1, 3)
 
     def test_ragged_blocks_rejected(self, rng):
         with pytest.raises(ValueError):

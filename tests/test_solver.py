@@ -17,6 +17,7 @@ from sylgmres import (
     wglgmres_dr,
 )
 from sylgmres.arnoldi import arnoldi_run
+from sylgmres.cli import COEFFICIENT_PRESETS
 from sylgmres.core import apply_sylvester, diamond_product, frob, weighted_inner, weighted_norm
 from sylgmres.dense import EigenPairSet, hessenberg_lsq
 from sylgmres.problems import FdmSpec, fdm_matrix, gen_rhs
@@ -241,7 +242,7 @@ class TestSelectAndRealify:
 
 class TestRestartSubspace:
     def test_new_basis_weight_orthonormal(self, rng):
-        w = Weight.diagonal(rng.uniform(0.4, 2.5, 10))
+        w = Weight.diagonal(rng.uniform(0.4, 2.5, 10), 2)
         op, c, w, beta, dec, sol = run_one_cycle(rng, m=6, weight=w)
         hs = select_and_realify(harmonic_pairs(dec.h), 2)
         blocks, new_h, q = restart_subspace(dec, hs, sol.residual)
@@ -350,6 +351,22 @@ class TestWglgmresDr:
         assert rep.converged
         expect = kron_solve(op, c)
         assert frob(rep.x - expect) <= 1e-5 * frob(expect)
+
+    @pytest.mark.parametrize("strat, k", [("identity", 0), ("mean", 5)])
+    def test_scaled_operator_same_cycles_and_steps(self, strat, k):
+        # the breakdown floor is relative to the recurrence coefficients, so
+        # scaling A and B changes neither cycles nor steps; a floor that never
+        # fell below 1e-14 made each step of the problem at 1e-17 break down
+        a = fdm_matrix(FdmSpec(8, *COEFFICIENT_PRESETS["varcoef1"]))
+        b = fdm_matrix(FdmSpec(2, *COEFFICIENT_PRESETS["varcoef2"]))
+        c = gen_rhs(a.shape[0], b.shape[0], 7)
+        cfg = SolverConfig(m=10, k=k, strategy=WeightStrategy(strat))
+        runs = [wglgmres_dr(SylvesterOperator(alpha * a, alpha * b), c, cfg)
+                for alpha in (1.0, 1e-15, 1e-16, 1e-17)]
+        for rep in runs:
+            assert rep.converged and rep.breakdowns == []
+            assert rep.cycles == runs[0].cycles
+            assert rep.history[-1].cumulative_iter == runs[0].history[-1].cumulative_iter
 
     @pytest.mark.parametrize("strat", ["identity", "mean", "random"])
     def test_deflated_solves_converge_and_report_honestly(self, strat, rng):

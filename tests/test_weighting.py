@@ -3,35 +3,43 @@
 import numpy as np
 import pytest
 
-from sylgmres import Weight, WeightStrategy, make_weight
+from sylgmres import WeightStrategy, make_weight
 
 
 R_EXAMPLE = np.array([[3.0, 5.0], [-2.0, -4.0]])
 
 
+def assert_row_constant(w, s):
+    """A diagonal weight: one positive entry per row, repeated over s columns."""
+    assert w.data.shape[1] == s
+    assert np.array_equal(w.data, np.repeat(w.data[:, :1], s, axis=1))
+
+
 class TestMakeWeight:
     def test_identity(self):
         w = make_weight(WeightStrategy("identity"))
-        assert w.kind == "identity"
+        assert w.data is None and w.tag == "identity"
 
     def test_max_col_by_hand(self):
         # column norms sqrt(13) and sqrt(41): pick column 2
         w = make_weight(WeightStrategy("max-col"), residual=R_EXAMPLE)
-        assert w.kind == "diagonal"
-        assert np.allclose(w.data, [5.0 / np.sqrt(41.0), 4.0 / np.sqrt(41.0)])
+        assert_row_constant(w, 2)
+        assert np.allclose(w.data[:, 0], [5.0 / np.sqrt(41.0), 4.0 / np.sqrt(41.0)])
 
     def test_min_col_by_hand(self):
         w = make_weight(WeightStrategy("min-col"), residual=R_EXAMPLE)
-        assert np.allclose(w.data, [3.0 / np.sqrt(13.0), 2.0 / np.sqrt(13.0)])
+        assert_row_constant(w, 2)
+        assert np.allclose(w.data[:, 0], [3.0 / np.sqrt(13.0), 2.0 / np.sqrt(13.0)])
 
     def test_mean_by_hand(self):
         w = make_weight(WeightStrategy("mean"), residual=R_EXAMPLE)
-        assert np.allclose(w.data, [4.0, 3.0])
+        assert_row_constant(w, 2)
+        assert np.allclose(w.data[:, 0], [4.0, 3.0])
 
     def test_hadamard(self, rng):
         c = rng.random((6, 3)) + 0.1
         w = make_weight(WeightStrategy("hadamard"), rhs=c)
-        assert w.kind == "elementwise"
+        assert w.tag == "hadamard"
         expect = np.sqrt(18.0) * np.abs(c) / np.linalg.norm(c)
         assert np.allclose(w.data, expect)
 
@@ -40,7 +48,8 @@ class TestMakeWeight:
         w1 = make_weight(WeightStrategy("random", seed=42), residual=r)
         w2 = make_weight(WeightStrategy("random", seed=42), residual=r)
         assert np.array_equal(w1.data, w2.data)
-        assert w1.data.shape == (50,)
+        assert_row_constant(w1, 2)
+        assert w1.data.shape == (50, 2)
         assert np.all(w1.data > 0.0) and np.all(w1.data < 2.0)
         w3 = make_weight(WeightStrategy("random", seed=43), residual=r)
         assert not np.array_equal(w1.data, w3.data)
@@ -66,23 +75,24 @@ class TestFlooringAndDegeneracy:
     def test_mean_cancellation_floored(self):
         r = np.array([[1.0, -1.0], [2.0, 1.0]])  # first row mean is exactly 0
         w = make_weight(WeightStrategy("mean"), residual=r)
-        assert w.data[0] == pytest.approx(1e-12 * 1.5)
-        assert w.data[1] == pytest.approx(1.5)
+        assert_row_constant(w, 2)
+        assert w.data[0, 0] == pytest.approx(1e-12 * 1.5)
+        assert w.data[1, 0] == pytest.approx(1.5)
 
     def test_zero_residual_degrades_to_identity(self):
         r = np.zeros((4, 2))
         w = make_weight(WeightStrategy("mean"), residual=r)
-        assert w.kind == "identity"
-        assert "degenerate" in w.tag
+        assert w.data is None
+        assert w.tag == "identity[degenerate:mean]"
 
     def test_tiny_residual_degrades_to_identity(self):
         r = np.full((4, 2), 1e-310)
         w = make_weight(WeightStrategy("max-col"), residual=r)
-        assert w.kind == "identity"
+        assert w.data is None and w.tag == "identity[degenerate:max-col]"
 
     def test_hadamard_zero_rhs(self):
         w = make_weight(WeightStrategy("hadamard"), rhs=np.zeros((3, 2)))
-        assert w.kind == "identity"
+        assert w.data is None and w.tag == "identity[degenerate:hadamard]"
 
 
 class TestInvariants:
@@ -90,7 +100,8 @@ class TestInvariants:
     def test_unit_norm_before_flooring(self, kind, rng):
         r = rng.standard_normal((10, 4)) + 0.5  # no zero entries
         w = make_weight(WeightStrategy(kind), residual=r)
-        assert np.linalg.norm(w.data) == pytest.approx(1.0, rel=1e-12)
+        assert_row_constant(w, 4)
+        assert np.linalg.norm(w.data[:, 0]) == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("kind", ["max-col", "min-col"])
     @pytest.mark.parametrize("alpha", [0.5, 3.0, 1e6])
@@ -109,9 +120,9 @@ class TestInvariants:
     def test_tie_broken_by_smallest_index(self):
         r = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])  # all column norms equal
         w_max = make_weight(WeightStrategy("max-col"), residual=r)
-        assert np.argmax(w_max.data) == 0  # column 0 selected: |r[:,0]| = (1, 0)
+        assert np.argmax(w_max.data[:, 0]) == 0  # column 0 selected: |r[:,0]| = (1, 0)
         w_min = make_weight(WeightStrategy("min-col"), residual=r)
-        assert np.argmax(w_min.data) == 0
+        assert np.argmax(w_min.data[:, 0]) == 0
 
     @pytest.mark.parametrize("kind", ["max-col", "min-col", "mean", "hadamard"])
     def test_determinism(self, kind, rng):
@@ -119,7 +130,7 @@ class TestInvariants:
         c = rng.random((6, 3))
         a = make_weight(WeightStrategy(kind), residual=r, rhs=c)
         b = make_weight(WeightStrategy(kind), residual=r, rhs=c)
-        assert a.kind == b.kind
+        assert a.tag == b.tag
         assert np.array_equal(a.data, b.data)
 
     def test_missing_inputs_rejected(self):

@@ -355,8 +355,8 @@ class TestWglgmresDr:
     @pytest.mark.parametrize("strat, k", [("identity", 0), ("mean", 5)])
     def test_scaled_operator_same_cycles_and_steps(self, strat, k):
         # the breakdown floor is relative to the recurrence coefficients, so
-        # scaling A and B changes neither cycles nor steps; a floor that never
-        # fell below 1e-14 made each step of the problem at 1e-17 break down
+        # scaling A and B changes neither cycles nor steps; an absolute floor
+        # of 1e-14 would stop every step at 1e-17 and some at 1e-16
         a = fdm_matrix(FdmSpec(8, *COEFFICIENT_PRESETS["varcoef1"]))
         b = fdm_matrix(FdmSpec(2, *COEFFICIENT_PRESETS["varcoef2"]))
         c = gen_rhs(a.shape[0], b.shape[0], 7)

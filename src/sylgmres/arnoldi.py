@@ -40,14 +40,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 # weighted_inner is no longer called here; it stays importable from this
 # module because solvebench's tracer wraps it under this name.  The step
 # kernel below calls neither diamond_product nor weighted_norm: they run once
 # per extension, for the prefix Gram matrix and the start block.
 from .core import as_block, diamond_product, weighted_inner, weighted_norm  # noqa: F401
+from .dense import _lapack
 
 __all__ = ["ArnoldiDecomposition", "arnoldi_run", "arnoldi_extend"]
 
@@ -259,21 +259,16 @@ def _prefix_projector(prefix, weight):
     gram = diamond_product(prefix, prefix, weight)
     if np.abs(gram - np.eye(len(prefix))).max() <= 1e-12:
         return None, 0
-    try:
-        factor, lower = scipy.linalg.cho_factor(gram)
-    except np.linalg.LinAlgError:
-        # weight change made the prefix numerically dependent; fall back to a
-        # least-squares projection so the extension can still proceed
+    # scipy.linalg.cho_factor's and cho_solve's LAPACK calls and checks
+    np.asarray_chkfinite(gram)
+    (factor,), info = _lapack(dpotrf, gram, lower=0, clean=0)
+    if info:
+        # weight change made the prefix numerically dependent (its Gram matrix
+        # is not positive definite); fall back to a least-squares projection
         return (lambda b: np.linalg.lstsq(gram, b, rcond=None)[0]), len(prefix)
 
     def cho_solve(b):
-        # scipy.linalg.cho_solve's LAPACK call and checks, without its
-        # per-call argument handling
-        if not np.isfinite(b).all():
-            raise ValueError("array must not contain infs or NaNs")
-        x, info = dpotrs(factor, b, lower=lower)
-        if info != 0:
-            raise ValueError(f"illegal value in {-info}th argument of internal potrs")
-        return x
+        np.asarray_chkfinite(b)
+        return _lapack(dpotrs, factor, b, lower=0)[0][0]
 
     return cho_solve, len(prefix)

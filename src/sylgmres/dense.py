@@ -5,16 +5,21 @@ LAPACK call plus the checks around it: least squares on (m+1) x m
 quasi-Hessenberg matrices and a rank-revealing reduced QR, both by Householder
 QR; a real nonsymmetric eigensolver with magnitude-sorted pairs; and
 partial-pivoted linear solves with an explicit singularity threshold.
+
+The factorizations call ``scipy.linalg.lapack`` wrappers directly, since at
+m = 10 a ``scipy.linalg`` front end adds 15-60 us of argument handling to a
+5 us LAPACK call.  Each call passes LAPACK what the front end would, so the
+results are bitwise the same, and keeps its checks: non-finite input and
+illegal arguments raise ValueError.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgeqrf, dgetrf, dgetrs, dorgqr, dtrtrs
 
 __all__ = [
     "SingularMatrixError",
@@ -40,6 +45,29 @@ class SingularMatrixError(np.linalg.LinAlgError):
 
 class EigenConvergenceError(np.linalg.LinAlgError):
     """The QR eigeniteration did not converge within its sweep budget."""
+
+
+def _lapack(routine, *args, **kwargs):
+    """A scipy.linalg.lapack call: (outputs, info); info < 0 raises ValueError."""
+    *out, info = routine(*args, **kwargs)
+    if info < 0:
+        raise ValueError(f"LAPACK reported an illegal value in argument {-info}")
+    return out, info
+
+
+def _qr(a, cols):
+    """Householder QR of a finite m x n matrix (n <= m) as scipy.linalg.qr
+    hands it to LAPACK: the first ``cols`` columns of Q (m for the full Q, n
+    for the economic one) and the packed factor, whose upper triangle is R."""
+    # at least LAPACK's block size (32) per column: the blocking the front
+    # end's workspace query selects
+    lwork = 64 * max(cols, 1)
+    (qr, tau, _), _ = _lapack(dgeqrf, a, lwork=lwork)
+    # Q is formed in place on an F-ordered copy of the reflectors, padded to
+    # m x m for the full Q as the front end pads it
+    q = np.empty((a.shape[0], cols), order="F")
+    q[:, : a.shape[1]] = qr
+    return _lapack(dorgqr, q, tau, lwork=lwork, overwrite_a=1)[0][0], qr
 
 
 class LsqSolution(NamedTuple):
@@ -80,22 +108,26 @@ def hessenberg_lsq(h, c):
     ``PIVOT_TOL * ||H||_F`` marks the system rank deficient; the minimum-norm
     solution is returned in that case, with ``rho`` recomputed from it.
     """
-    h = np.asarray(h, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
+    h = np.asarray_chkfinite(h, dtype=np.float64)
+    c = np.asarray_chkfinite(c, dtype=np.float64)
     if h.ndim != 2 or h.shape[0] != h.shape[1] + 1:
         raise ValueError(f"expected an (m+1) x m matrix, got {h.shape}")
     m = h.shape[1]
     if c.shape != (m + 1,):
         raise ValueError(f"right-hand side must have length {m + 1}, got {c.shape}")
 
-    q, r = scipy.linalg.qr(h)
+    q, qr = _qr(h, m + 1)
     g = q.T @ c
-    diag = np.abs(np.diagonal(r))
+    diag = np.abs(np.diagonal(qr))
     degenerate = bool(m and np.any(diag <= PIVOT_TOL * np.linalg.norm(h)))
     if degenerate:
-        y = np.linalg.lstsq(r[:m], g[:m], rcond=None)[0]
+        y = np.linalg.lstsq(np.triu(qr[:m]), g[:m], rcond=None)[0]
     elif m:
-        y = scipy.linalg.solve_triangular(r[:m], g[:m])
+        # solve_triangular's call for a C-ordered R: the transposed system on
+        # R^T, whose upper part (the reflectors) LAPACK does not read
+        (y,), info = _lapack(dtrtrs, qr[:m].T, g[:m], lower=1, trans=1)
+        if info:
+            raise np.linalg.LinAlgError(f"singular matrix: diagonal {info - 1} is zero")
     else:
         y = np.empty(0)
     residual = c - h @ y
@@ -115,21 +147,23 @@ def reduced_qr(g):
     triangular up to rounding when nothing is dropped, and ``g ~ q q^T g``
     either way.
     """
-    g = np.asarray(g, dtype=np.float64)
+    g = np.asarray_chkfinite(g, dtype=np.float64)
     if g.ndim != 2:
         raise ValueError("expected a 2-d matrix")
     m, k = g.shape
     if k > m:
         raise ValueError(f"need at least as many rows as columns, got {g.shape}")
-    tol = RANK_TOL * (np.linalg.norm(g, axis=0).max() if k else 0.0)
+    if not g.size:
+        return QrFactors(np.empty((m, 0)), [])
+    tol = RANK_TOL * np.linalg.norm(g, axis=0).max()
 
-    q, r = scipy.linalg.qr(g, mode="economic")
-    kept = [j for j in range(k) if abs(r[j, j]) > tol]
+    q, qr = _qr(g, k)
+    kept = [j for j in range(k) if abs(qr[j, j]) > tol]
     if len(kept) < k:
         # a dropped column's Householder direction is arbitrary and would
         # leak into the later columns of q
-        q, r = scipy.linalg.qr(g[:, kept], mode="economic")
-    q = q * np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
+        q, qr = _qr(g[:, kept], len(kept))
+    q = q * np.where(np.diagonal(qr) < 0.0, -1.0, 1.0)
     return QrFactors(q, kept)
 
 
@@ -175,10 +209,10 @@ def small_solve(mat, rhs):
         )
     if not np.isfinite(mat).all():
         raise ValueError("matrix contains non-finite entries")
-    with warnings.catch_warnings():
-        # singularity is reported through the pivot check below
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(mat, check_finite=False)
+    if not mat.size:
+        return np.empty_like(rhs)
+    # an exactly zero pivot (info > 0) fails the pivot check
+    (lu, piv), _ = _lapack(dgetrf, mat)
     if not np.all(np.abs(np.diagonal(lu)) > PIVOT_TOL * np.linalg.norm(mat)):
         raise SingularMatrixError("matrix is singular to working precision")
-    return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+    return _lapack(dgetrs, lu, piv, rhs)[0][0]

@@ -227,9 +227,8 @@ def select_and_realify(pairs, k):
             cols.append(vec.real)
             i += 1
             continue
-        if i + 1 >= len(values) or not np.isclose(
-            values[i + 1], np.conj(val), rtol=1e-8, atol=0.0
-        ):
+        conj = complex(val).conjugate()  # np.isclose(., conj, rtol=1e-8, atol=0) on scalars
+        if i + 1 >= len(values) or not abs(complex(values[i + 1]) - conj) <= 1e-8 * abs(conj):
             raise DeflationError("conjugate partner of a complex harmonic value is missing")
         cols.append(vec.real)
         cols.append(vec.imag)

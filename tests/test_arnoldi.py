@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sylgmres import SylvesterOperator, Weight, WeightStrategy, make_weight
 from sylgmres.arnoldi import (
@@ -393,3 +394,57 @@ def test_pending_block_inside_span_breaks_down():
     assert h[2, 1] <= 1e-14
     # the second sweep's coefficients a = (1, 0) moved into column 1
     assert np.abs(h[:2, 1] - (kept_h[:2, 1] + [1e-12, 0.0])).max() <= 1e-27
+
+
+class TestPrefixProjector:
+    """The prefix Gram solve: LAPACK's potrf/potrs as scipy.linalg.cho_factor
+    and cho_solve call them, and the least-squares fallback when the Gram
+    matrix in the new weight is not positive definite."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", ["diagonal", "elementwise"])
+    def test_cholesky_solve_bitwise(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        op = random_operator(rng, 12, 3)
+        blocks, _ = _deflated_prefix(rng, op, 6, 2)
+        prefix = np.asarray(blocks)
+        weight = _weights_for(rng, 12, 3)[kind]
+        solve, count = _prefix_projector(prefix, weight)
+        assert count == len(prefix)
+        factor = scipy.linalg.cho_factor(diamond_product(prefix, prefix, weight))
+        # a coefficient vector of _sweep and the coefficient pair of _fused_step
+        b1 = rng.standard_normal(count)
+        b2 = rng.standard_normal((count, 2))
+        for b in (b1, b2, np.asfortranarray(b2)):
+            assert np.array_equal(solve(b), scipy.linalg.cho_solve(factor, b))
+        with pytest.raises(ValueError):
+            solve(np.full(count, np.nan))
+
+    def test_non_finite_gram_raises(self, rng):
+        prefix = rng.standard_normal((2, 6, 2))
+        prefix[1, 3, 0] = np.nan
+        with pytest.raises(ValueError):
+            _prefix_projector(prefix, Weight.identity())
+
+    @pytest.mark.parametrize("kind", ["identity", "diagonal", "elementwise"])
+    def test_dependent_prefix_takes_lstsq_fallback(self, kind, rng):
+        # two equal blocks: the Gram matrix is singular, potrf reports info > 0
+        op = random_operator(rng, 10, 2)
+        weight = _weights_for(rng, 10, 2)[kind]
+        v = random_block(rng, 10, 2)
+        v = v / weighted_norm(v, weight)
+        prefix = np.stack([v, v])
+        gram = diamond_product(prefix, prefix, weight)
+        with pytest.raises(np.linalg.LinAlgError):
+            scipy.linalg.cho_factor(gram)
+        solve, count = _prefix_projector(prefix, weight)
+        assert count == 2
+        b = rng.standard_normal(2)
+        assert np.array_equal(solve(b), np.linalg.lstsq(gram, b, rcond=None)[0])
+
+        seed = ArnoldiDecomposition([v, v], np.zeros((2, 1)))
+        ext = arnoldi_extend(seed, op, weight, 2, 6)
+        assert ext.breakdown is None
+        assert len(ext.basis) == 7
+        assert np.isfinite(ext.h).all()
+        assert relation_residual(op, ext, first=1) <= 1e-10 * op.frobenius_scale()

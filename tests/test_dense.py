@@ -316,3 +316,190 @@ class TestSmallSolve:
             small_solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2))
         with pytest.raises(SingularMatrixError):
             small_solve(np.zeros((2, 2)), np.ones(2))
+
+
+def front_end_lsq(h, c):
+    """hessenberg_lsq through the scipy.linalg front ends: (y, residual, rho,
+    degenerate)."""
+    m = h.shape[1]
+    q, r = scipy.linalg.qr(h)
+    g = q.T @ c
+    degenerate = bool(m and np.any(np.abs(np.diagonal(r)) <= 1e-14 * np.linalg.norm(h)))
+    if degenerate:
+        y = np.linalg.lstsq(r[:m], g[:m], rcond=None)[0]
+    elif m:
+        assert r[:m].flags.c_contiguous or m == 1  # the case solve_triangular transposes
+        y = scipy.linalg.solve_triangular(r[:m], g[:m])
+    else:
+        y = np.empty(0)
+    residual = c - h @ y
+    rho = float(np.linalg.norm(residual)) if degenerate else abs(float(g[m]))
+    return y, residual, rho, degenerate
+
+
+def front_end_qr(g):
+    """reduced_qr through scipy.linalg.qr: (q, kept)."""
+    k = g.shape[1]
+    tol = 1e-12 * (np.linalg.norm(g, axis=0).max() if k else 0.0)
+    q, r = scipy.linalg.qr(g, mode="economic")
+    kept = [j for j in range(k) if abs(r[j, j]) > tol]
+    if len(kept) < k:
+        q, r = scipy.linalg.qr(g[:, kept], mode="economic")
+    return q * np.where(np.diagonal(r) < 0.0, -1.0, 1.0), kept
+
+
+def front_end_solve(mat, rhs):
+    return scipy.linalg.lu_solve(scipy.linalg.lu_factor(mat), rhs)
+
+
+# inputs as given (C order, and a strided view), in C order and in F order
+ORDERS = [pytest.param(lambda a: a, id="given"),
+          pytest.param(np.ascontiguousarray, id="C"),
+          pytest.param(np.asfortranarray, id="F")]
+
+
+def _lsq_inputs():
+    """(h, c) pairs: Hessenberg, deflated (dense leading block) and a
+    column-sliced view of a larger array, as the Arnoldi step leaves it after
+    a breakdown."""
+    for seed in range(12):
+        rng = np.random.default_rng(seed + 300)
+        m = 1 + seed
+        yield random_hessenberg(rng, m), rng.standard_normal(m + 1)
+    for m, k in [(3, 1), (6, 3), (10, 5), (10, 8), (20, 10), (40, 20)]:
+        rng = np.random.default_rng(7 * m + k)
+        yield deflated_hessenberg(rng, m, k), rng.standard_normal(m + 1)
+    rng = np.random.default_rng(5)
+    big = deflated_hessenberg(rng, 10, 5)
+    yield big[:8, :7], rng.standard_normal(8)
+
+
+class TestBitwiseFrontEnds:
+    """The LAPACK calls of the dense kernels give bitwise the results of the
+    scipy.linalg front ends they replace, in C and in F order."""
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_hessenberg_lsq(self, order):
+        for h, c in _lsq_inputs():
+            h = order(h)
+            sol = hessenberg_lsq(h, c)
+            y, residual, rho, degenerate = front_end_lsq(h, c)
+            assert not degenerate and not sol.degenerate
+            assert np.array_equal(sol.y, y)
+            assert np.array_equal(sol.residual, residual)
+            assert sol.rho == rho
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_hessenberg_lsq_degenerate(self, order, rng):
+        h = deflated_hessenberg(rng, 6, 3)
+        h[:, 4] = h[:, 2]  # a repeated column: rank deficient
+        h = order(h)
+        c = rng.standard_normal(7)
+        sol = hessenberg_lsq(h, c)
+        y, residual, rho, degenerate = front_end_lsq(h, c)
+        assert sol.degenerate and degenerate
+        assert np.array_equal(sol.y, y)
+        assert sol.rho == rho
+
+    def test_hessenberg_lsq_no_columns(self):
+        sol = hessenberg_lsq(np.zeros((1, 0)), np.array([-3.0]))
+        assert sol.y.shape == (0,) and sol.rho == 3.0 and not sol.degenerate
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("shape", [(6, 1), (8, 4), (10, 5), (11, 6), (12, 12), (21, 10)])
+    def test_reduced_qr(self, order, shape):
+        g = np.random.default_rng(shape[0] + 31 * shape[1]).standard_normal(shape)
+        g = order(g)
+        out = reduced_qr(g)
+        q, kept = front_end_qr(g)
+        assert out.kept == kept == list(range(shape[1]))
+        assert np.array_equal(out.q, q)
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_reduced_qr_dropped_column_refactor(self, order, rng):
+        a = rng.standard_normal((9, 3))
+        g = order(np.column_stack([a[:, 0], a[:, 1], a[:, 0] - a[:, 1], a[:, 2], 3.0 * a[:, 2]]))
+        out = reduced_qr(g)
+        q, kept = front_end_qr(g)
+        assert out.kept == kept == [0, 1, 3]
+        assert np.array_equal(out.q, q)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (4, 0)])
+    def test_reduced_qr_empty(self, shape):
+        out = reduced_qr(np.zeros(shape))
+        q, kept = front_end_qr(np.zeros(shape))
+        assert out.q.shape == q.shape == (shape[0], 0)
+        assert out.kept == kept == []
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_small_solve(self, order):
+        for seed in range(8):
+            rng = np.random.default_rng(seed + 400)
+            m = 2 + seed
+            mat = order(rng.standard_normal((m, m)))
+            for rhs in (rng.standard_normal(m), order(rng.standard_normal((m, 3)))):
+                assert np.array_equal(small_solve(mat, rhs), front_end_solve(mat, rhs))
+
+    def test_small_solve_harmonic_layout(self):
+        # harmonic_pairs solves with the F-ordered transpose of a C-ordered
+        # square part, and with it as a matrix right-hand side
+        for seed in range(6):
+            rng = np.random.default_rng(seed + 500)
+            h = random_hessenberg(rng, 10)
+            hm_t = h[:10].T
+            assert hm_t.flags.f_contiguous
+            em = np.zeros(10)
+            em[-1] = 1.0
+            assert np.array_equal(small_solve(hm_t, em), front_end_solve(hm_t, em))
+            normal = h.T @ h
+            assert np.array_equal(small_solve(normal, hm_t), front_end_solve(normal, hm_t))
+
+    def test_small_solve_empty(self):
+        assert small_solve(np.zeros((0, 0)), np.zeros(0)).shape == (0,)
+        assert small_solve(np.zeros((0, 0)), np.zeros((0, 2))).shape == (0, 2)
+
+    @pytest.mark.parametrize("rows,cols", [(11, 10), (40, 30), (200, 150), (300, 300)])
+    def test_workspace_covers_lapack_block_size(self, rows, cols):
+        # the kernels pass 64 workspace entries per column of Q; at or above
+        # the workspace query's optimum LAPACK blocks as the front end makes it
+        lapack = scipy.linalg.lapack
+        assert lapack.dgeqrf(np.zeros((rows, cols)), lwork=-1)[2][0] <= 64 * cols
+        for q_cols in (cols, rows):  # economic and full Q
+            query = lapack.dorgqr(np.zeros((rows, q_cols)), np.zeros(cols), lwork=-1)
+            assert query[1][0] <= 64 * q_cols
+
+
+class TestRetainedChecks:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises(self, bad, rng):
+        h = random_hessenberg(rng, 4)
+        c = rng.standard_normal(5)
+        h_bad, c_bad = h.copy(), c.copy()
+        h_bad[1, 2] = bad
+        c_bad[3] = bad
+        with pytest.raises(ValueError):
+            hessenberg_lsq(h_bad, c)
+        with pytest.raises(ValueError):
+            hessenberg_lsq(h, c_bad)
+        with pytest.raises(ValueError):
+            reduced_qr(h_bad)
+        with pytest.raises(ValueError):
+            small_solve(h_bad[:4], c[:4])
+
+    def test_singular_small_solve(self):
+        # an exactly zero pivot (LAPACK's info > 0) and a rounding-level one
+        for mat in (np.zeros((3, 3)), np.array([[1.0, 2.0], [2.0, 4.0 + 1e-16]])):
+            with pytest.raises(SingularMatrixError):
+                small_solve(mat, np.ones(mat.shape[0]))
+
+    def test_degenerate_flag_on_zero_matrix(self):
+        sol = hessenberg_lsq(np.zeros((4, 3)), np.array([1.0, 2.0, 0.0, 0.0]))
+        assert sol.degenerate
+        assert np.array_equal(sol.y, np.zeros(3))
+        assert sol.rho == pytest.approx(np.sqrt(5.0), rel=1e-15)
+
+    @pytest.mark.parametrize("shape", [(5, 3), (6, 6), (4, 1)])
+    def test_reduced_qr_rank_zero(self, shape):
+        out = reduced_qr(np.zeros(shape))
+        assert out.q.shape == (shape[0], 0)
+        assert out.kept == []

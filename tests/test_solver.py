@@ -21,7 +21,7 @@ from sylgmres.cli import COEFFICIENT_PRESETS
 from sylgmres.core import apply_sylvester, diamond_product, frob, weighted_inner, weighted_norm
 from sylgmres.dense import EigenPairSet, hessenberg_lsq
 from sylgmres.problems import FdmSpec, fdm_matrix, gen_rhs
-from sylgmres.solver import DeflationError
+from sylgmres.solver import DeflationError, HarmonicSet
 
 from conftest import random_block, random_operator
 
@@ -283,6 +283,14 @@ class TestRestartSubspace:
         inside = q[:, 0] * 0.3 - 0.7 * q[:, 1]  # lies in the recycled span
         with pytest.raises(DeflationError):
             restart_subspace(dec, hs, inside)
+
+    def test_rank_zero_harmonic_columns_rejected(self, rng):
+        # reduced_qr keeps no column of an all-zero set: its q is m x 0
+        op, c, w, beta, dec, sol = run_one_cycle(rng, m=6)
+        hs = select_and_realify(harmonic_pairs(dec.h), 2)
+        zero = HarmonicSet(hs.pairs, np.zeros_like(hs.g_real), hs.k_effective)
+        with pytest.raises(DeflationError, match="rank deficient"):
+            restart_subspace(dec, zero, sol.residual)
 
 
 class TestCollinearity:

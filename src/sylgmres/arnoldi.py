@@ -32,6 +32,11 @@ case): new blocks are orthogonalized against every existing block in the
 across a weight change is orthonormal in the mixed sense (prefix blocks in
 the weight of their construction, new blocks and all cross terms in the new
 weight).  The coefficients on such a prefix go through its Gram matrix.
+
+The basis is built in an (m+1, n, s) workspace the caller may supply; the
+solver alternates two per solve, and its restart writes the prefix straight
+into the leading slots of the next one.  The returned basis is a read-only
+view of the workspace, which itself stays writable.
 """
 
 from __future__ import annotations
@@ -46,7 +51,8 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 # module because solvebench's tracer wraps it under this name.  The step
 # kernel below calls neither diamond_product nor weighted_norm: they run once
 # per extension, for the prefix Gram matrix and the start block.
-from .core import as_block, diamond_product, weighted_inner, weighted_norm  # noqa: F401
+from .core import Weight, _weight_entries, as_block, diamond_product
+from .core import weighted_inner, weighted_norm  # noqa: F401
 from .dense import _lapack
 
 __all__ = ["ArnoldiDecomposition", "arnoldi_run", "arnoldi_extend"]
@@ -163,14 +169,15 @@ def _fused_step(flat, p, h, d, work, prefix_solve, prefix_count, floor):
     return nu2
 
 
-def arnoldi_run(op, v, weight, m):
+def arnoldi_run(op, v, weight, m, out=None, spare=None):
     """Run m weighted global Arnoldi steps from the start block ``v``.
 
     The start block is normalized to V_1 = v / ||v||; each step applies the
     operator, orthogonalizes against all previous blocks and normalizes the
     remainder, so that op(V_j) = sum_{i<=j+1} h[i,j] V_i holds column by
     column.  Happy breakdown truncates the decomposition (see
-    :class:`ArnoldiDecomposition`).
+    :class:`ArnoldiDecomposition`).  ``out`` and ``spare`` are workspaces as
+    in :func:`arnoldi_extend`.
     """
     if m < 1:
         raise ValueError("step count m must be >= 1")
@@ -180,11 +187,13 @@ def arnoldi_run(op, v, weight, m):
     beta = weighted_norm(v, weight)
     if beta == 0.0:
         raise ValueError("start block must be nonzero")
-    seed = ArnoldiDecomposition((v / beta)[None], np.zeros((1, 0)))
-    return arnoldi_extend(seed, op, weight, 1, m)
+    basis = np.empty((m + 1,) + v.shape) if out is None else out
+    np.divide(v, beta, out=basis[0])
+    seed = ArnoldiDecomposition(basis[:1], np.zeros((1, 0)))
+    return arnoldi_extend(seed, op, weight, 1, m, basis, spare)
 
 
-def arnoldi_extend(dec, op, weight, from_j, to_m):
+def arnoldi_extend(dec, op, weight, from_j, to_m, out=None, spare=None):
     """Continue the Arnoldi recurrence from an existing prefix.
 
     ``dec`` must hold ``from_j`` blocks and their ``from_j x (from_j - 1)``
@@ -192,6 +201,12 @@ def arnoldi_extend(dec, op, weight, from_j, to_m):
     ``from_j`` .. ``to_m`` are then produced by the standard loop under
     ``weight``; with ``from_j = 1`` this reproduces :func:`arnoldi_run`.
     The input decomposition is not modified.
+
+    The basis is built in ``out`` (a C-ordered float64 (to_m + 1, n, s)
+    array, or a new one when None), where the prefix may already sit in the
+    leading ``from_j`` slots, and is then not copied; no other part of
+    ``out`` may hold it.  ``spare``, if given, holds at least ``from_j`` dead
+    blocks; the weighted copy of the prefix for its Gram matrix goes there.
     """
     if from_j != len(dec.basis):
         raise ValueError(f"prefix holds {len(dec.basis)} blocks, expected {from_j}")
@@ -204,8 +219,12 @@ def arnoldi_extend(dec, op, weight, from_j, to_m):
         raise ValueError(f"cannot extend from {from_j} blocks to {to_m} steps")
 
     prefix = np.asarray(dec.basis, dtype=np.float64)
-    basis = np.empty((to_m + 1,) + prefix.shape[1:])
-    basis[:from_j] = prefix
+    shape = (to_m + 1,) + prefix.shape[1:]
+    basis = np.empty(shape) if out is None else out
+    if basis.shape != shape or basis.dtype != np.float64 or not basis.flags.c_contiguous:
+        raise ValueError(f"basis workspace must be a C-ordered float64 {shape} array")
+    if not np.may_share_memory(prefix, basis):
+        basis[:from_j] = prefix
     flat = basis.reshape(to_m + 1, -1)
     d = None if weight.data is None else weight.data.reshape(-1)
     work = np.empty((2, flat.shape[1]))
@@ -214,7 +233,7 @@ def arnoldi_extend(dec, op, weight, from_j, to_m):
     h[: from_j, : from_j - 1] = dec.h
     hmax = float(np.abs(dec.h).max()) if dec.h.size else 0.0
     breakdown = None
-    prefix_solve, prefix_count = _prefix_projector(prefix, weight)
+    prefix_solve, prefix_count = _prefix_projector(prefix, weight, spare)
 
     for col in range(from_j - 1, to_m):
         # block col is pending from the second step on: size == col + 1
@@ -249,14 +268,18 @@ def arnoldi_extend(dec, op, weight, from_j, to_m):
         else:
             np.divide(v, nu2, out=v)
 
-    basis.flags.writeable = False
-    return ArnoldiDecomposition(basis[:size], h, breakdown)
+    view = basis[:size]
+    view.flags.writeable = False
+    return ArnoldiDecomposition(view, h, breakdown)
 
 
-def _prefix_projector(prefix, weight):
+def _prefix_projector(prefix, weight, spare=None):
     """Solver for the prefix Gram system, or None when the prefix is already
     orthonormal in ``weight`` (then plain Gram-Schmidt suffices)."""
-    gram = diamond_product(prefix, prefix, weight)
+    w = _weight_entries(weight, prefix.shape)
+    weighted = prefix if w is None else np.multiply(
+        w, prefix, out=None if spare is None else spare[:len(prefix)])
+    gram = diamond_product(prefix, weighted, Weight.identity())
     if np.abs(gram - np.eye(len(prefix))).max() <= 1e-12:
         return None, 0
     # scipy.linalg.cho_factor's and cho_solve's LAPACK calls and checks

@@ -239,16 +239,18 @@ def select_and_realify(pairs, k):
     return HarmonicSet(selected, g_real, g_real.shape[1])
 
 
-def restart_subspace(dec, hs, r):
+def restart_subspace(dec, hs, r, out=None):
     """Recycled blocks and projected recurrence for a deflated restart.
 
     Orthonormalizes the realified harmonic columns, appends the normalized
     component of the small residual vector ``r`` orthogonal to them, and maps
     both through the current basis in one product: the returned stacked
     (k+1, n, s) blocks span the harmonic Ritz block vectors plus the
-    residual, and ``new_h`` restates the recurrence on that set.  Raises
-    DeflationError when the harmonic columns are rank deficient or ``r``
-    already lies in their span.
+    residual, and ``new_h`` restates the recurrence on that set.  The blocks
+    are written into the leading slots of ``out`` (a C-ordered float64 array
+    of at least k+1 blocks that must not overlap the basis), or into a new
+    array when it is None.  Raises DeflationError when the harmonic columns
+    are rank deficient or ``r`` already lies in their span.
     """
     qr = reduced_qr(hs.g_real)
     kq = qr.q.shape[1]
@@ -270,7 +272,9 @@ def restart_subspace(dec, hs, r):
     q = np.column_stack([q_ext, v / nrm])
 
     new_h = q.T @ dec.h @ qr.q
-    return basis_combine(dec.basis, q), new_h, q
+    blocks = (np.empty((kq + 1,) + dec.basis.shape[1:]) if out is None else out)[: kq + 1]
+    np.matmul(q.T, dec.basis.reshape(rows, -1), out=blocks.reshape(kq + 1, -1))
+    return blocks, new_h, q
 
 
 def collinearity_check(dec, pairs, y, beta):
@@ -338,6 +342,10 @@ def wglgmres_dr(op, c, cfg, x0=None):
         # these weights are fixed for the whole solve; the others follow the residual
         fixed_weight = make_weight(cfg.strategy, residual=r, rhs=c)
 
+    # a cycle builds its basis in ``out``, a deflated restart writes the
+    # recycled prefix into ``spare``, and the two swap; a recorded solve keeps
+    # every cycle's basis, so it allocates each one afresh
+    out, spare = (None, None) if cfg.record_cycles else np.empty((2, cfg.m + 1) + op.shape)
     history = []
     events = []
     traces = [] if cfg.record_cycles else None
@@ -357,14 +365,14 @@ def wglgmres_dr(op, c, cfg, x0=None):
             break
 
         if prefix is None:
-            dec = arnoldi_run(op, r, weight, cfg.m)
+            dec = arnoldi_run(op, r, weight, cfg.m, out, spare)
             cvec = np.zeros(dec.h.shape[0])
             cvec[0] = beta
             prefix_cols = 0
         else:
             blocks, h_prefix, c_prefix = prefix
             seed = ArnoldiDecomposition(blocks, h_prefix)
-            dec = arnoldi_extend(seed, op, weight, len(blocks), cfg.m)
+            dec = arnoldi_extend(seed, op, weight, len(blocks), cfg.m, out, spare)
             # the carried residual lies in the span of the recycled blocks, so
             # its representation in the restarted basis is c_prefix exactly and
             # has no components along the freshly generated blocks
@@ -379,7 +387,7 @@ def wglgmres_dr(op, c, cfg, x0=None):
         if sol.degenerate:
             events.append(f"cycle {cycle}: degenerate projected least-squares")
         ncols = dec.h.shape[1]
-        x = x + basis_combine(dec.basis[:ncols], sol.y)
+        x += basis_combine(dec.basis[:ncols], sol.y)
         r = c - op.apply(x)
 
         est = sol.rho / norm_c_d
@@ -402,11 +410,12 @@ def wglgmres_dr(op, c, cfg, x0=None):
             try:
                 pairs = harmonic_pairs(dec.h)
                 hs = select_and_realify(pairs, cfg.k)
-                blocks, new_h, q = restart_subspace(dec, hs, sol.residual)
+                blocks, new_h, q = restart_subspace(dec, hs, sol.residual, spare)
                 prefix = (blocks, new_h, q.T @ sol.residual)
             except (DeflationError, SingularMatrixError, EigenConvergenceError) as exc:
                 events.append(f"cycle {cycle}: deflation skipped ({exc})")
         prev_weight = weight
+        out, spare = spare, out
 
     true_resnorm = frob(c - op.apply(x)) / norm_c_f
     return SolveReport(x, converged, len(history), history, true_resnorm,

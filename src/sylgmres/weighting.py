@@ -100,6 +100,9 @@ def make_weight(strategy, residual=None, rhs=None):
             return Weight.identity(tag=f"identity[degenerate:{kind}]")
         return _floored(np.abs(r[:, t:t + 1]) / norms[t], r.shape, strategy.floor_rel, kind)
 
-    # kind == "mean"
-    d = np.abs(r.mean(axis=1, keepdims=True))
-    return _floored(d, r.shape, strategy.floor_rel, "mean")
+    # kind == "mean": the row sums column by column, as numpy's mean sums
+    # rows of fewer than 8 entries, but without its slow strided reduction
+    total = r[:, :1].copy()
+    for j in range(1, r.shape[1]):
+        total += r[:, j:j + 1]
+    return _floored(np.abs(total / r.shape[1]), r.shape, strategy.floor_rel, "mean")

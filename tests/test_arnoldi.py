@@ -172,6 +172,64 @@ class TestArnoldiExtend:
             arnoldi_extend(dec, op, Weight.identity(), 4, 3)
 
 
+class TestWorkspaces:
+    """The basis built in a caller's workspace, as the solver builds it."""
+
+    N, S, M, K = 12, 2, 6, 2
+
+    def test_run_in_workspace_equals_fresh_and_view_is_readonly(self, rng):
+        op = random_operator(rng, self.N, self.S)
+        v = random_block(rng, self.N, self.S)
+        w = Weight.diagonal(rng.uniform(0.5, 2.0, self.N), self.S)
+        out, spare = np.empty((2, self.M + 1, self.N, self.S))
+        fresh = arnoldi_run(op, v, w, self.M)
+        placed = arnoldi_run(op, v, w, self.M, out, spare)
+        assert np.array_equal(fresh.h, placed.h)
+        assert np.array_equal(fresh.basis, placed.basis)
+        assert np.shares_memory(placed.basis, out)
+        for dec in (fresh, placed):
+            assert not dec.basis.flags.writeable
+            with pytest.raises(ValueError):
+                dec.basis[0][0, 0] = 7.0
+        # only the returned view is read-only, not the workspace behind it
+        assert out.flags.writeable
+        out[0, 0, 0] = 7.0
+
+    def test_prefix_written_in_place_extends_like_a_copied_one(self, rng):
+        op = random_operator(rng, self.N, self.S)
+        v = random_block(rng, self.N, self.S)
+        w_old = Weight.diagonal(rng.uniform(0.5, 2.0, self.N), self.S)
+        w_new = Weight(rng.uniform(0.1, 5.0, (self.N, self.S)))
+        first, second = np.empty((2, self.M + 1, self.N, self.S))
+        dec = arnoldi_run(op, v, w_old, self.M, first, second)
+        c = np.zeros(self.M + 1)
+        c[0] = weighted_norm(v, w_old)
+        sol = hessenberg_lsq(dec.h, c)
+        hs = select_and_realify(harmonic_pairs(dec.h), self.K)
+        blocks, new_h, _ = restart_subspace(dec, hs, sol.residual)
+        placed, placed_h, _ = restart_subspace(dec, hs, sol.residual, second)
+        assert np.array_equal(blocks, placed) and np.array_equal(new_h, placed_h)
+        assert np.shares_memory(placed, second) and not np.shares_memory(blocks, second)
+        p = len(blocks)
+        fresh = arnoldi_extend(ArnoldiDecomposition(blocks, new_h), op, w_new, p, self.M)
+        # the old basis in ``first`` is dead now and takes the weighted prefix
+        ext = arnoldi_extend(ArnoldiDecomposition(placed, placed_h), op, w_new, p, self.M,
+                             second, first)
+        assert np.array_equal(fresh.h, ext.h)
+        assert np.array_equal(fresh.basis, ext.basis)
+        assert np.shares_memory(ext.basis, second)
+        assert not fresh.basis.flags.writeable and not ext.basis.flags.writeable
+
+    def test_workspace_shape_checked(self, rng):
+        op = random_operator(rng, self.N, self.S)
+        v = random_block(rng, self.N, self.S)
+        for out in (np.empty((self.M, self.N, self.S)),
+                    np.empty((self.M + 1, self.N, self.S), order="F"),
+                    np.empty((self.M + 1, self.N, self.S), dtype=np.float32)):
+            with pytest.raises(ValueError, match="workspace"):
+                arnoldi_run(op, v, Weight.identity(), self.M, out)
+
+
 class TestHappyBreakdown:
     def test_projected_solve_is_exact(self, rng):
         # operator with a 2-dimensional invariant Krylov block subspace

@@ -22,6 +22,7 @@ from sylgmres.core import apply_sylvester, diamond_product, frob, weighted_inner
 from sylgmres.dense import EigenPairSet, hessenberg_lsq
 from sylgmres.problems import FdmSpec, fdm_matrix, gen_rhs
 from sylgmres.solver import DeflationError, HarmonicSet
+from sylgmres.weighting import STRATEGY_KINDS
 
 from conftest import random_block, random_operator
 
@@ -115,6 +116,18 @@ class TestWglgmres:
         assert rep.converged
         expect = kron_solve(op, c)
         assert frob(rep.x - expect) <= 1e-8 * frob(expect)
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_initial_guess_left_unmodified(self, k, rng):
+        # the iterate is updated in place, on a copy of x0
+        op = random_operator(rng, 10, 2)
+        c = random_block(rng, 10, 2)
+        for x0 in (random_block(rng, 10, 2), np.ascontiguousarray(random_block(rng, 10, 2))):
+            keep = x0.copy()
+            rep = wglgmres_dr(op, c, SolverConfig(m=4, k=k, tol=1e-15, maxit=3), x0=x0)
+            assert rep.cycles == 3
+            assert np.array_equal(x0, keep)
+            assert not np.shares_memory(rep.x, x0)
 
     def test_exact_initial_guess_converges_immediately(self, rng):
         op = random_operator(rng, 6, 2)
@@ -447,3 +460,37 @@ class TestWglgmresDr:
         for t in rep.traces:
             gram = diamond_product(t.dec.basis, t.dec.basis, t.weight)
             assert np.abs(gram - np.eye(len(t.dec.basis))).max() <= 1e-10
+
+
+class TestBasisWorkspaces:
+    """An unrecorded solve builds every basis in two alternating workspaces; a
+    recorded one allocates each cycle's basis afresh and keeps it."""
+
+    @pytest.mark.parametrize("k", [0, 5])
+    @pytest.mark.parametrize("strat", STRATEGY_KINDS)
+    def test_recording_does_not_change_the_solve(self, strat, k):
+        a = fdm_matrix(FdmSpec(8, *COEFFICIENT_PRESETS["varcoef1"]))
+        b = fdm_matrix(FdmSpec(2, *COEFFICIENT_PRESETS["varcoef2"]))
+        op = SylvesterOperator(a, b)
+        c = gen_rhs(op.n, op.s, 7)
+        ws = WeightStrategy(strat, seed=3 if strat == "random" else None)
+        plain, recorded = (
+            wglgmres_dr(op, c, SolverConfig(m=10, k=k, tol=1e-10, strategy=ws,
+                                            record_cycles=record))
+            for record in (False, True))
+        assert plain.converged and recorded.converged
+        assert np.array_equal(plain.x, recorded.x)
+        assert plain.cycles == recorded.cycles >= 3
+        if k:
+            assert sum(t.prefix_blocks > 1 for t in recorded.traces) >= 2
+        bases = [t.dec.basis for t in recorded.traces]
+        for i, basis in enumerate(bases):
+            assert not any(np.shares_memory(basis, other) for other in bases[:i])
+        # every recorded basis still holds its own Arnoldi relation
+        scale = op.frobenius_scale()
+        for t in recorded.traces:
+            h, basis = t.dec.h, t.dec.basis
+            for j in range(h.shape[1]):
+                lhs = apply_sylvester(op, basis[j])
+                rhs = np.tensordot(h[:, j], basis, axes=1)
+                assert frob(lhs - rhs) <= 1e-10 * scale

@@ -72,6 +72,20 @@ class TestFlooringAndDegeneracy:
         w = make_weight(WeightStrategy(kind), residual=r)
         assert np.all(w.data > 0.0)
 
+    @pytest.mark.parametrize("s", range(1, 8))
+    def test_mean_is_numpys_mean_bit_for_bit(self, s, rng):
+        # the row sums run column by column, the order in which numpy sums
+        # rows of fewer than 8 entries, so the weight is numpy's exactly
+        r = rng.standard_normal((40, s)) * 10.0 ** rng.integers(-150, 150, (40, s))
+        r[::6] = 0.0
+        r[1] = 1.0
+        r[1, -1] = 1.0 - s  # cancels exactly
+        for res in (r, np.asfortranarray(r)):
+            d = np.abs(res.mean(axis=1))
+            expect = np.maximum(d, 1e-12 * d.max())
+            w = make_weight(WeightStrategy("mean"), residual=res)
+            assert np.array_equal(w.data, np.repeat(expect[:, None], s, axis=1))
+
     def test_mean_cancellation_floored(self):
         r = np.array([[1.0, -1.0], [2.0, 1.0]])  # first row mean is exactly 0
         w = make_weight(WeightStrategy("mean"), residual=r)

@@ -15,27 +15,9 @@ Quick start::
     print(report.converged, report.cycles, report.true_resnorm)
 """
 
-from .core import (
-    SylvesterOperator,
-    Weight,
-    apply_sylvester,
-    basis_combine,
-    diamond_product,
-    weighted_inner,
-    weighted_norm,
-)
-from .arnoldi import ArnoldiDecomposition, arnoldi_extend, arnoldi_run
-from .dense import (
-    EigenPairSet,
-    SingularMatrixError,
-    hessenberg_lsq,
-    reduced_qr,
-    small_eig,
-    small_solve,
-)
+from .core import SylvesterOperator
 from .problems import (
     FdmSpec,
-    ProblemInstance,
     fdm_matrix,
     gen_rhs,
     kron_solve,
@@ -43,53 +25,31 @@ from .problems import (
     write_matrix_market,
 )
 from .solver import (
-    HarmonicSet,
     SolveReport,
     SolverConfig,
     collinearity_check,
     harmonic_pairs,
-    restart_subspace,
-    select_and_realify,
     wglgmres,
     wglgmres_dr,
 )
-from .weighting import WeightStrategy, make_weight
+from .weighting import WeightStrategy
 
 __version__ = "0.1.0"
 
+# the stable API; the building blocks are importable from their own modules
 __all__ = [
-    "ArnoldiDecomposition",
-    "EigenPairSet",
     "FdmSpec",
-    "HarmonicSet",
-    "ProblemInstance",
-    "SingularMatrixError",
     "SolveReport",
     "SolverConfig",
     "SylvesterOperator",
-    "Weight",
     "WeightStrategy",
-    "apply_sylvester",
-    "arnoldi_extend",
-    "arnoldi_run",
-    "basis_combine",
     "collinearity_check",
-    "diamond_product",
     "fdm_matrix",
     "gen_rhs",
     "harmonic_pairs",
-    "hessenberg_lsq",
     "kron_solve",
-    "make_weight",
     "read_matrix_market",
-    "reduced_qr",
-    "restart_subspace",
-    "select_and_realify",
-    "small_eig",
-    "small_solve",
-    "weighted_inner",
-    "weighted_norm",
+    "write_matrix_market",
     "wglgmres",
     "wglgmres_dr",
-    "write_matrix_market",
 ]

@@ -79,10 +79,6 @@ class ArnoldiDecomposition:
     h: np.ndarray = field(default_factory=lambda: np.zeros((1, 0)))
     breakdown: int | None = None
 
-    @property
-    def steps(self):
-        return self.h.shape[1]
-
 
 def _norm(v, d):
     """Weighted 2-norm of the flat vector ``v`` under the flat weight ``d``
@@ -190,26 +186,26 @@ def arnoldi_run(op, v, weight, m, out=None, spare=None):
     basis = np.empty((m + 1,) + v.shape) if out is None else out
     np.divide(v, beta, out=basis[0])
     seed = ArnoldiDecomposition(basis[:1], np.zeros((1, 0)))
-    return arnoldi_extend(seed, op, weight, 1, m, basis, spare)
+    return arnoldi_extend(seed, op, weight, m, basis, spare)
 
 
-def arnoldi_extend(dec, op, weight, from_j, to_m, out=None, spare=None):
+def arnoldi_extend(dec, op, weight, to_m, out=None, spare=None):
     """Continue the Arnoldi recurrence from an existing prefix.
 
-    ``dec`` must hold ``from_j`` blocks and their ``from_j x (from_j - 1)``
+    ``dec`` holds ``from_j`` blocks and their ``from_j x (from_j - 1)``
     recurrence matrix, which is embedded unchanged in the result.  Columns
     ``from_j`` .. ``to_m`` are then produced by the standard loop under
-    ``weight``; with ``from_j = 1`` this reproduces :func:`arnoldi_run`.
+    ``weight``; from a single block this reproduces :func:`arnoldi_run`.
     The input decomposition is not modified.
 
     The basis is built in ``out`` (a C-ordered float64 (to_m + 1, n, s)
-    array, or a new one when None), where the prefix may already sit in the
-    leading ``from_j`` slots, and is then not copied; no other part of
-    ``out`` may hold it.  ``spare``, if given, holds at least ``from_j`` dead
-    blocks; the weighted copy of the prefix for its Gram matrix goes there.
+    array, or a new one when None).  A prefix that is exactly
+    ``out[:from_j]`` is used in place; one that shares no memory with
+    ``out`` is copied there; any other overlap raises ValueError.
+    ``spare``, if given, holds at least ``from_j`` dead blocks; the weighted
+    copy of the prefix for its Gram matrix goes there.
     """
-    if from_j != len(dec.basis):
-        raise ValueError(f"prefix holds {len(dec.basis)} blocks, expected {from_j}")
+    from_j = len(dec.basis)
     if dec.h.shape != (from_j, from_j - 1):
         raise ValueError(
             f"prefix recurrence matrix has shape {dec.h.shape}, "
@@ -225,6 +221,8 @@ def arnoldi_extend(dec, op, weight, from_j, to_m, out=None, spare=None):
         raise ValueError(f"basis workspace must be a C-ordered float64 {shape} array")
     if not np.may_share_memory(prefix, basis):
         basis[:from_j] = prefix
+    elif prefix.ctypes.data != basis.ctypes.data or prefix.strides != basis.strides:
+        raise ValueError("prefix overlaps the basis workspace but is not its leading blocks")
     flat = basis.reshape(to_m + 1, -1)
     d = None if weight.data is None else weight.data.reshape(-1)
     work = np.empty((2, flat.shape[1]))

@@ -143,7 +143,7 @@ def build_problem(cfg):
     density = cfg.density if cfg.density is not None else default_density(op.n, op.s)
     c = gen_rhs(op.n, op.s, cfg.seed, density)
     provenance = f"A=({prov_a}) B=({prov_b}) rhs(seed={cfg.seed}, density={density:g})"
-    return ProblemInstance(op=op, c=c, seed=cfg.seed, provenance=provenance)
+    return ProblemInstance(op=op, c=c, provenance=provenance)
 
 
 def _solver_config(cfg):
@@ -184,7 +184,7 @@ def _write_summary(rows, path):
                              int(row["converged"])])
 
 
-def run_experiment(cfg, history_name="history.csv", summary_name="summary.csv"):
+def run_experiment(cfg):
     """Run one configured solve; emit history and summary files.
 
     Returns ``(report, files)`` where ``files`` maps the emitted kinds to
@@ -199,8 +199,8 @@ def run_experiment(cfg, history_name="history.csv", summary_name="summary.csv"):
 
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    history_path = out_dir / history_name
-    summary_path = out_dir / summary_name
+    history_path = out_dir / "history.csv"
+    summary_path = out_dir / "summary.csv"
     _write_history(report, history_path)
     _write_summary([_summary_row(cfg, report)], summary_path)
     files = {"history": str(history_path), "summary": str(summary_path),
@@ -209,7 +209,8 @@ def run_experiment(cfg, history_name="history.csv", summary_name="summary.csv"):
 
 
 def compare_variants(cfgs):
-    """Run several configs that differ only in variant/strategy/(m, k).
+    """Run several configs that differ only in variant/strategy/(m, k) on
+    the one problem they share.
 
     Returns ``(rows, reports)`` with one summary row per config, in order.
     """
@@ -224,8 +225,8 @@ def compare_variants(cfgs):
             raise UsageError("compared configs may differ only in variant, strategy, m and k")
     rows = []
     reports = []
+    problem = build_problem(cfgs[0]) if cfgs else None
     for cfg in cfgs:
-        problem = build_problem(cfg)
         report = wglgmres_dr(problem.op, problem.c, _solver_config(cfg))
         rows.append(_summary_row(cfg, report))
         reports.append(report)

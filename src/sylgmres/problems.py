@@ -73,7 +73,6 @@ class ProblemInstance:
 
     op: SylvesterOperator
     c: np.ndarray
-    seed: int
     provenance: str
 
     def __post_init__(self):

@@ -132,10 +132,6 @@ class SolveReport:
     wall_time: float
     traces: list | None = None
 
-    @property
-    def estimated_history(self):
-        return [rec.est_resnorm for rec in self.history]
-
 
 @dataclass
 class HarmonicSet:
@@ -248,9 +244,10 @@ def restart_subspace(dec, hs, r, out=None):
     (k+1, n, s) blocks span the harmonic Ritz block vectors plus the
     residual, and ``new_h`` restates the recurrence on that set.  The blocks
     are written into the leading slots of ``out`` (a C-ordered float64 array
-    of at least k+1 blocks that must not overlap the basis), or into a new
-    array when it is None.  Raises DeflationError when the harmonic columns
-    are rank deficient or ``r`` already lies in their span.
+    of at least k+1 blocks of the basis's block shape that must not overlap
+    the basis; ValueError otherwise), or into a new array when it is None.
+    Raises DeflationError when the harmonic columns are rank deficient or
+    ``r`` already lies in their span.
     """
     qr = reduced_qr(hs.g_real)
     kq = qr.q.shape[1]
@@ -272,7 +269,11 @@ def restart_subspace(dec, hs, r, out=None):
     q = np.column_stack([q_ext, v / nrm])
 
     new_h = q.T @ dec.h @ qr.q
-    blocks = (np.empty((kq + 1,) + dec.basis.shape[1:]) if out is None else out)[: kq + 1]
+    shape = (kq + 1,) + dec.basis.shape[1:]
+    blocks = np.empty(shape) if out is None else out[: kq + 1]
+    if blocks.shape != shape or blocks.dtype != np.float64 or not blocks.flags.c_contiguous:
+        raise ValueError("restart workspace must be a C-ordered float64 array of at least "
+                         f"{kq + 1} blocks of shape {shape[1:]}")
     np.matmul(q.T, dec.basis.reshape(rows, -1), out=blocks.reshape(kq + 1, -1))
     return blocks, new_h, q
 
@@ -372,7 +373,7 @@ def wglgmres_dr(op, c, cfg, x0=None):
         else:
             blocks, h_prefix, c_prefix = prefix
             seed = ArnoldiDecomposition(blocks, h_prefix)
-            dec = arnoldi_extend(seed, op, weight, len(blocks), cfg.m, out, spare)
+            dec = arnoldi_extend(seed, op, weight, cfg.m, out, spare)
             # the carried residual lies in the span of the recycled blocks, so
             # its representation in the restarted basis is c_prefix exactly and
             # has no components along the freshly generated blocks

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from sylgmres import SylvesterOperator, Weight, WeightStrategy, make_weight
+from sylgmres import SylvesterOperator, WeightStrategy
 from sylgmres.arnoldi import (
     ArnoldiDecomposition,
     _fused_step,
@@ -14,9 +14,11 @@ from sylgmres.arnoldi import (
     arnoldi_extend,
     arnoldi_run,
 )
-from sylgmres.core import apply_sylvester, diamond_product, frob, weighted_inner, weighted_norm
+from sylgmres.core import (Weight, apply_sylvester, diamond_product, frob, weighted_inner,
+                           weighted_norm)
 from sylgmres.dense import hessenberg_lsq
 from sylgmres.solver import harmonic_pairs, restart_subspace, select_and_realify
+from sylgmres.weighting import make_weight
 
 from conftest import random_block, random_operator
 
@@ -114,7 +116,7 @@ class TestArnoldiExtend:
         beta = weighted_norm(v, w)
         seed = ArnoldiDecomposition([v / beta], np.zeros((1, 0)))
         seed.basis[0].flags.writeable = False
-        ext = arnoldi_extend(seed, op, w, 1, 5)
+        ext = arnoldi_extend(seed, op, w, 5)
         assert np.array_equal(full.h, ext.h)
         for a, b in zip(full.basis, ext.basis):
             assert np.array_equal(a, b)
@@ -135,7 +137,7 @@ class TestArnoldiExtend:
         seed = ArnoldiDecomposition(blocks, new_h)
         for b in seed.basis:
             b.flags.writeable = False
-        ext = arnoldi_extend(seed, op, w_new, len(blocks), m)
+        ext = arnoldi_extend(seed, op, w_new, m)
         return op, ext, w_old, w_new, len(blocks)
 
     def test_same_weight_restart_full_gram(self, rng):
@@ -167,9 +169,9 @@ class TestArnoldiExtend:
         op = random_operator(rng, 5, 2)
         dec = arnoldi_run(op, random_block(rng, 5, 2), Weight.identity(), 3)
         with pytest.raises(ValueError):
-            arnoldi_extend(dec, op, Weight.identity(), 2, 5)
+            arnoldi_extend(ArnoldiDecomposition(dec.basis, dec.h[:, :2]), op, Weight.identity(), 5)
         with pytest.raises(ValueError):
-            arnoldi_extend(dec, op, Weight.identity(), 4, 3)
+            arnoldi_extend(dec, op, Weight.identity(), 3)
 
 
 class TestWorkspaces:
@@ -210,15 +212,30 @@ class TestWorkspaces:
         placed, placed_h, _ = restart_subspace(dec, hs, sol.residual, second)
         assert np.array_equal(blocks, placed) and np.array_equal(new_h, placed_h)
         assert np.shares_memory(placed, second) and not np.shares_memory(blocks, second)
-        p = len(blocks)
-        fresh = arnoldi_extend(ArnoldiDecomposition(blocks, new_h), op, w_new, p, self.M)
+        fresh = arnoldi_extend(ArnoldiDecomposition(blocks, new_h), op, w_new, self.M)
         # the old basis in ``first`` is dead now and takes the weighted prefix
-        ext = arnoldi_extend(ArnoldiDecomposition(placed, placed_h), op, w_new, p, self.M,
-                             second, first)
+        ext = arnoldi_extend(ArnoldiDecomposition(placed, placed_h), op, w_new, self.M, second,
+                             first)
         assert np.array_equal(fresh.h, ext.h)
         assert np.array_equal(fresh.basis, ext.basis)
         assert np.shares_memory(ext.basis, second)
         assert not fresh.basis.flags.writeable and not ext.basis.flags.writeable
+
+    def test_prefix_only_in_place_at_the_front(self, rng):
+        op = random_operator(rng, self.N, self.S)
+        blocks, new_h = _deflated_prefix(rng, op, self.M, self.K)
+        w = Weight(rng.uniform(0.1, 5.0, (self.N, self.S)))
+        fresh = arnoldi_extend(ArnoldiDecomposition(blocks, new_h), op, w, self.M)
+        # a disjoint prefix is copied into the workspace
+        out = np.empty((self.M + 1, self.N, self.S))
+        copied = arnoldi_extend(ArnoldiDecomposition(blocks, new_h), op, w, self.M, out)
+        assert np.array_equal(copied.basis, fresh.basis) and np.array_equal(copied.h, fresh.h)
+        # a prefix inside the workspace but not at its front is rejected
+        p = len(blocks)
+        for shifted in (out[1:p + 1], out[::2][:p]):
+            shifted[...] = blocks
+            with pytest.raises(ValueError, match="leading blocks"):
+                arnoldi_extend(ArnoldiDecomposition(shifted, new_h), op, w, self.M, out)
 
     def test_workspace_shape_checked(self, rng):
         op = random_operator(rng, self.N, self.S)
@@ -312,10 +329,11 @@ def _deflated_prefix(rng, op, m, k):
     return blocks, new_h
 
 
-def mgs_extend(dec, op, weight, from_j, to_m):
+def mgs_extend(dec, op, weight, to_m):
     """Reference: the Arnoldi loop on ``mgs_orthogonalize``, with a prefix
     projection solved by ``np.linalg.solve`` on the prefix Gram matrix."""
     basis = [np.array(b) for b in dec.basis]
+    from_j = len(basis)
     h = np.zeros((to_m + 1, to_m))
     h[:from_j, : from_j - 1] = dec.h
     gram = diamond_product(basis, basis, weight)
@@ -353,8 +371,8 @@ class TestExtendReference:
         if path == "mixed":
             # the new weight leaves the prefix non-orthonormal: the oblique path runs
             assert _prefix_projector(np.asarray(seed.basis), weight)[1] == p
-        ext = arnoldi_extend(seed, op, weight, p, 6)
-        basis_ref, h_ref = mgs_extend(seed, op, weight, p, 6)
+        ext = arnoldi_extend(seed, op, weight, 6)
+        basis_ref, h_ref = mgs_extend(seed, op, weight, 6)
         assert ext.breakdown is None
         assert np.abs(ext.h - h_ref).max() <= _ORTH_RTOL * np.abs(h_ref).max()
         assert frob(np.asarray(ext.basis) - basis_ref) <= _ORTH_RTOL * frob(basis_ref)
@@ -366,7 +384,7 @@ class TestExtendReference:
         seed = self._seeds(rng, op)[path]
         prefix = [np.array(b) for b in seed.basis]
         weight = _weights_for(rng, 12, 3)[kind]
-        ext = arnoldi_extend(seed, op, weight, len(prefix), 6)
+        ext = arnoldi_extend(seed, op, weight, 6)
         for got, given, kept in zip(ext.basis, prefix, seed.basis):
             assert np.array_equal(got, given)
             assert np.array_equal(kept, given)  # the input is not modified
@@ -426,7 +444,7 @@ class TestClusteredSpectrum:
         weight = self._weights(rng)[kind]
         p = len(blocks)
         assert _prefix_projector(np.asarray(blocks), weight)[1] == p
-        ext = arnoldi_extend(ArnoldiDecomposition(blocks, new_h), op, weight, p, self.M)
+        ext = arnoldi_extend(ArnoldiDecomposition(blocks, new_h), op, weight, self.M)
         assert ext.breakdown is None
         fresh = ext.basis[p:]
         g_new = diamond_product(fresh, fresh, weight)
@@ -501,7 +519,7 @@ class TestPrefixProjector:
         assert np.array_equal(solve(b), np.linalg.lstsq(gram, b, rcond=None)[0])
 
         seed = ArnoldiDecomposition([v, v], np.zeros((2, 1)))
-        ext = arnoldi_extend(seed, op, weight, 2, 6)
+        ext = arnoldi_extend(seed, op, weight, 6)
         assert ext.breakdown is None
         assert len(ext.basis) == 7
         assert np.isfinite(ext.h).all()

@@ -2,11 +2,13 @@
 
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sylgmres.cli as cli
 from sylgmres import kron_solve
 from sylgmres.cli import (
     ExperimentConfig,
@@ -115,6 +117,28 @@ class TestCompareVariants:
         assert all(r["converged"] for r in rows)
         by_variant = {r["variant"]: r["iter"] for r in rows}
         assert by_variant["wglgmres-d"] <= by_variant["glgmres"]
+
+    def test_problem_built_once(self, tmp_path, monkeypatch):
+        base = ExperimentConfig(m=10, k=5, fdm_n0=10, fdm_s0=2, seed=7, out=str(tmp_path))
+        cfgs = [replace(base, variant="glgmres", strategy="identity", k=0),
+                replace(base, variant="wglgmres", strategy="mean", k=0),
+                replace(base, variant="glgmres-d", strategy="identity"),
+                replace(base, variant="wglgmres-d", strategy="mean")]
+        built = []
+
+        def counting_build(cfg):
+            built.append(cfg)
+            return build_problem(cfg)
+
+        monkeypatch.setattr(cli, "build_problem", counting_build)
+        rows, reports = compare_variants(cfgs)
+        assert len(built) == 1
+        # the same rows as one separately built problem per config
+        for cfg, row, report in zip(cfgs, rows, reports):
+            alone, _ = run_experiment(cfg)
+            assert np.array_equal(report.x, alone.x)
+            assert (row["iter"], row["res_norm"], row["converged"]) == (
+                alone.cycles, alone.true_resnorm, alone.converged)
 
     def test_empty_set(self):
         rows, reports = compare_variants([])

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sylgmres import SylvesterOperator, Weight
+from sylgmres import SylvesterOperator
 from sylgmres.arnoldi import ArnoldiDecomposition, arnoldi_extend
 from sylgmres.core import (
     DENSE_B_MAX_S,
+    Weight,
     apply_sylvester,
     as_block,
     basis_combine,
@@ -245,7 +246,7 @@ class TestStackedBlocks:
             with pytest.raises(ValueError, match="weight shape"):
                 diamond_product(stack, stack, weight)
             with pytest.raises(ValueError, match="weight shape"):
-                arnoldi_extend(seed, op, weight, 1, 3)
+                arnoldi_extend(seed, op, weight, 3)
 
     def test_ragged_blocks_rejected(self, rng):
         with pytest.raises(ValueError):

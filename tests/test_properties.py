@@ -27,10 +27,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sylgmres.solver as solver_mod
-from sylgmres import (SolverConfig, SylvesterOperator, Weight, WeightStrategy, kron_solve,
-                      wglgmres, wglgmres_dr)
+from sylgmres import (SolverConfig, SylvesterOperator, WeightStrategy, kron_solve, wglgmres,
+                      wglgmres_dr)
 from sylgmres.arnoldi import arnoldi_run
-from sylgmres.core import apply_sylvester, frob
+from sylgmres.core import Weight, apply_sylvester, frob
 from sylgmres.dense import hessenberg_lsq
 from sylgmres.solver import harmonic_pairs, select_and_realify
 

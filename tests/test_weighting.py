@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from sylgmres import WeightStrategy, make_weight
+from sylgmres import WeightStrategy
+from sylgmres.weighting import make_weight
 
 
 R_EXAMPLE = np.array([[3.0, 5.0], [-2.0, -4.0]])

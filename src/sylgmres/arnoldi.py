@@ -34,9 +34,10 @@ the weight of their construction, new blocks and all cross terms in the new
 weight).  The coefficients on such a prefix go through its Gram matrix.
 
 The basis is built in an (m+1, n, s) workspace the caller may supply; the
-solver alternates two per solve, and its restart writes the prefix straight
-into the leading slots of the next one.  The returned basis is a read-only
-view of the workspace, which itself stays writable.
+solver alternates two per solve and extends every cycle from a prefix in the
+leading slots: r / beta after a plain restart, the recycled blocks after a
+deflated one.  The returned basis is a read-only view of the workspace,
+which itself stays writable.
 """
 
 from __future__ import annotations
@@ -84,8 +85,9 @@ def _norm(v, d):
     """Weighted 2-norm of the flat vector ``v`` under the flat weight ``d``
     (None for the identity), summed as :func:`core.weighted_norm` sums it."""
     val = float(np.einsum("i,i->", v, v) if d is None else np.einsum("i,i,i->", d, v, v))
-    # tiny negative values can appear through rounding in the einsum reduction
-    return math.sqrt(val) if val > 0.0 else 0.0
+    # tiny negative values can appear through rounding in the einsum
+    # reduction; only those are clamped, so a NaN stays NaN
+    return 0.0 if val <= 0.0 else math.sqrt(val)
 
 
 def _sweep(v, flat, d, work, prefix_solve, prefix_count):
@@ -202,8 +204,10 @@ def arnoldi_extend(dec, op, weight, to_m, out=None, spare=None):
     array, or a new one when None).  A prefix that is exactly
     ``out[:from_j]`` is used in place; one that shares no memory with
     ``out`` is copied there; any other overlap raises ValueError.
-    ``spare``, if given, holds at least ``from_j`` dead blocks; the weighted
-    copy of the prefix for its Gram matrix goes there.
+    ``spare``, if given, is a C-ordered float64 ndarray of at least ``from_j``
+    dead blocks of the basis's block shape that shares no memory with
+    ``out`` (ValueError otherwise); the weighted copy of the prefix for its
+    Gram matrix goes there.
     """
     from_j = len(dec.basis)
     if dec.h.shape != (from_j, from_j - 1):
@@ -223,6 +227,12 @@ def arnoldi_extend(dec, op, weight, to_m, out=None, spare=None):
         basis[:from_j] = prefix
     elif prefix.ctypes.data != basis.ctypes.data or prefix.strides != basis.strides:
         raise ValueError("prefix overlaps the basis workspace but is not its leading blocks")
+    if spare is not None and (
+            spare.dtype != np.float64 or not spare.flags.c_contiguous
+            or spare.shape[1:] != shape[1:] or len(spare) < from_j
+            or np.may_share_memory(spare, basis)):
+        raise ValueError(f"spare workspace must be a C-ordered float64 array of at least "
+                         f"{from_j} blocks of shape {shape[1:]} apart from the basis")
     flat = basis.reshape(to_m + 1, -1)
     d = None if weight.data is None else weight.data.reshape(-1)
     work = np.empty((2, flat.shape[1]))

@@ -177,8 +177,9 @@ def weighted_inner(y, z, weight):
 def weighted_norm(y, weight):
     """Norm induced by :func:`weighted_inner`; zero only for the zero block."""
     val = weighted_inner(y, y, weight)
-    # tiny negative values can appear through rounding in the einsum reduction
-    return float(np.sqrt(val)) if val > 0.0 else 0.0
+    # tiny negative values can appear through rounding in the einsum
+    # reduction; only those are clamped, so a NaN stays NaN
+    return 0.0 if val <= 0.0 else float(np.sqrt(val))
 
 
 def _stacked(blocks, name):

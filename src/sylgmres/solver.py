@@ -24,11 +24,14 @@ Frobenius norm.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arnoldi import ArnoldiDecomposition, arnoldi_extend, arnoldi_run
+# arnoldi_run is no longer called here; it stays importable from this module
+# because solvebench's tracer wraps it under this name.
+from .arnoldi import ArnoldiDecomposition, arnoldi_extend
+from .arnoldi import arnoldi_run  # noqa: F401
 from .core import as_block, basis_combine, frob, weighted_norm
 from .dense import (
     EigenConvergenceError,
@@ -91,7 +94,7 @@ class SolverConfig:
             raise ValueError("deflation count k must be >= 0")
         if self.k > 0 and self.k > self.m - 2:
             raise ValueError(f"deflation count k={self.k} must be <= m - 2 = {self.m - 2}")
-        if self.tol <= 0.0:
+        if not self.tol > 0.0:  # NaN fails too
             raise ValueError("tolerance must be > 0")
         if self.maxit < 1:
             raise ValueError("maxit must be >= 1")
@@ -109,12 +112,13 @@ class CycleRecord:
 
 @dataclass
 class CycleTrace:
-    """Full per-cycle state, kept only when ``record_cycles`` is set."""
+    """Full per-cycle state, kept only when ``record_cycles`` is set; ``dec.basis``
+    is a copy, since every cycle builds its basis in one of two workspaces."""
 
     cycle: int
     weight: object
     prev_weight: object
-    prefix_blocks: int  # blocks retained at cycle start (1 for a fresh cycle)
+    prefix_blocks: int  # prefix length: 1 after a plain restart, k_effective + 1 otherwise
     dec: ArnoldiDecomposition
     c: np.ndarray
     y: np.ndarray
@@ -202,33 +206,27 @@ def select_and_realify(pairs, k):
     if k_sel < 1:
         raise DeflationError("no harmonic pairs available for deflation")
 
-    i = 0
-    while i < k_sel:
-        if values[i].imag == 0.0:
-            i += 1
-            continue
-        if i + 1 == k_sel:  # the cut splits this conjugate pair
-            k_sel = k_sel + 1 if (k_sel + 1 <= min(cap, len(values))) else k_sel - 1
-            break
-        i += 2
-    if k_sel < 1:
-        raise DeflationError("conjugate-pair adjustment left nothing to deflate")
-
     cols = []
     i = 0
     while i < k_sel:
-        val = values[i]
         vec = vectors[:, i]
-        if val.imag == 0.0:
+        if values[i].imag == 0.0:
             cols.append(vec.real)
             i += 1
             continue
-        conj = complex(val).conjugate()  # np.isclose(., conj, rtol=1e-8, atol=0) on scalars
-        if i + 1 >= len(values) or not abs(complex(values[i + 1]) - conj) <= 1e-8 * abs(conj):
+        if i + 1 == k_sel:  # the cut splits this conjugate pair
+            if k_sel + 1 > min(cap, len(values)):
+                k_sel -= 1
+                break
+            k_sel += 1
+        conj = complex(values[i]).conjugate()  # np.isclose(., conj, rtol=1e-8, atol=0) on scalars
+        if not abs(complex(values[i + 1]) - conj) <= 1e-8 * abs(conj):
             raise DeflationError("conjugate partner of a complex harmonic value is missing")
         cols.append(vec.real)
         cols.append(vec.imag)
         i += 2
+    if k_sel < 1:
+        raise DeflationError("conjugate-pair adjustment left nothing to deflate")
 
     g_real = np.column_stack(cols)
     selected = EigenPairSet(values[:k_sel], vectors[:, :k_sel])
@@ -338,49 +336,43 @@ def wglgmres_dr(op, c, cfg, x0=None):
                                [] if cfg.record_cycles else None)
         raise ValueError("zero right-hand side with a nonzero initial residual")
 
-    fixed_weight = None
-    if cfg.strategy.kind in ("identity", "random", "hadamard"):
-        # these weights are fixed for the whole solve; the others follow the residual
-        fixed_weight = make_weight(cfg.strategy, residual=r, rhs=c)
-
-    # a cycle builds its basis in ``out``, a deflated restart writes the
-    # recycled prefix into ``spare``, and the two swap; a recorded solve keeps
-    # every cycle's basis, so it allocates each one afresh
-    out, spare = (None, None) if cfg.record_cycles else np.empty((2, cfg.m + 1) + op.shape)
+    # a cycle builds its basis in ``out`` from the prefix in its leading slots:
+    # r / beta alone after a plain restart, the recycled blocks a deflated
+    # restart wrote into ``spare`` otherwise; the two workspaces then swap
+    out, spare = np.empty((2, cfg.m + 1) + op.shape)
     history = []
     events = []
     traces = [] if cfg.record_cycles else None
+    weight = None
     prefix = None
     prev_weight = None
     converged = False
     cum_iter = 0
 
     for cycle in range(1, cfg.maxit + 1):
-        weight = fixed_weight if fixed_weight is not None else make_weight(
-            cfg.strategy, residual=r, rhs=c
-        )
-        norm_c_d = weighted_norm(c, weight)
+        if weight is None or cfg.strategy.follows_residual:
+            weight = make_weight(cfg.strategy, residual=r, rhs=c)
+            norm_c_d = weighted_norm(c, weight)
         beta = weighted_norm(r, weight)
+        if not np.isfinite(beta):
+            raise ValueError(f"cycle {cycle}: the weighted residual norm is {beta}, not finite")
         if beta == 0.0:
             converged = True
             break
 
         if prefix is None:
-            dec = arnoldi_run(op, r, weight, cfg.m, out, spare)
-            cvec = np.zeros(dec.h.shape[0])
-            cvec[0] = beta
-            prefix_cols = 0
-        else:
-            blocks, h_prefix, c_prefix = prefix
-            seed = ArnoldiDecomposition(blocks, h_prefix)
-            dec = arnoldi_extend(seed, op, weight, cfg.m, out, spare)
-            # the carried residual lies in the span of the recycled blocks, so
-            # its representation in the restarted basis is c_prefix exactly and
-            # has no components along the freshly generated blocks
-            cvec = np.zeros(dec.h.shape[0])
-            cvec[: c_prefix.shape[0]] = c_prefix
-            prefix_cols = h_prefix.shape[1]
-        cum_iter += dec.h.shape[1] - prefix_cols
+            # a plain restart is the one-block prefix r / beta
+            np.divide(r, beta, out=out[0])
+            prefix = (out[:1], np.zeros((1, 0)), np.array([beta]))
+        blocks, h_prefix, c_prefix = prefix
+        dec = arnoldi_extend(ArnoldiDecomposition(blocks, h_prefix), op, weight, cfg.m,
+                             out, spare)
+        # the carried residual lies in the span of the prefix, so its
+        # representation in the extended basis is c_prefix exactly and has no
+        # components along the freshly generated blocks
+        cvec = np.zeros(dec.h.shape[0])
+        cvec[: c_prefix.shape[0]] = c_prefix
+        cum_iter += dec.h.shape[1] - h_prefix.shape[1]
         if dec.breakdown is not None:
             events.append(f"cycle {cycle}: invariant subspace at step {dec.breakdown}")
 
@@ -397,8 +389,8 @@ def wglgmres_dr(op, c, cfg, x0=None):
         history.append(CycleRecord(cycle, cum_iter, est, true_rel,
                                    weight.tag, time.perf_counter() - t0))
         if traces is not None:
-            traces.append(CycleTrace(cycle, weight, prev_weight,
-                                     1 + prefix_cols, dec, cvec, sol.y, beta))
+            traces.append(CycleTrace(cycle, weight, prev_weight, len(blocks),
+                                     replace(dec, basis=dec.basis.copy()), cvec, sol.y, beta))
 
         if est <= cfg.tol and explicit <= cfg.tol and true_rel <= cfg.tol:
             converged = True

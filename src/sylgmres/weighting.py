@@ -44,10 +44,15 @@ class WeightStrategy:
                 f"unknown weighting strategy {self.kind!r}; "
                 f"choose one of {', '.join(STRATEGY_KINDS)}"
             )
-        if self.floor_rel <= 0.0:
+        if not self.floor_rel > 0.0:  # NaN fails too
             raise ValueError("floor_rel must be > 0")
         if self.kind == "random" and self.seed is None:
             raise ValueError("the random strategy needs an explicit seed")
+
+    @property
+    def follows_residual(self):
+        """True for the kinds whose weight is rebuilt from the residual at every restart."""
+        return self.kind in ("max-col", "min-col", "mean")
 
 
 def _floored(values, shape, floor_rel, tag):

@@ -10,6 +10,7 @@ from sylgmres import SylvesterOperator, WeightStrategy
 from sylgmres.arnoldi import (
     ArnoldiDecomposition,
     _fused_step,
+    _norm,
     _prefix_projector,
     arnoldi_extend,
     arnoldi_run,
@@ -237,6 +238,23 @@ class TestWorkspaces:
             with pytest.raises(ValueError, match="leading blocks"):
                 arnoldi_extend(ArnoldiDecomposition(shifted, new_h), op, w, self.M, out)
 
+    def test_spare_validated(self, rng):
+        op = random_operator(rng, self.N, self.S)
+        blocks, new_h = _deflated_prefix(rng, op, self.M, self.K)
+        w = Weight(rng.uniform(0.1, 5.0, (self.N, self.S)))
+        fresh = arnoldi_extend(ArnoldiDecomposition(blocks, new_h), op, w, self.M)
+        p = len(blocks)
+        out, spare = np.empty((2, self.M + 1, self.N, self.S))
+        out[:p] = blocks
+        seed = ArnoldiDecomposition(out[:p], new_h)
+        # ``spare is out`` would write the weighted prefix over the prefix
+        for bad in (out, out[p:], spare.astype(np.float32), np.asfortranarray(spare),
+                    spare[:p - 1], np.empty((self.M + 1, self.N, self.S + 1))):
+            with pytest.raises(ValueError, match="spare"):
+                arnoldi_extend(seed, op, w, self.M, out, bad)
+        ext = arnoldi_extend(seed, op, w, self.M, out, spare[:p])
+        assert np.array_equal(ext.h, fresh.h) and np.array_equal(ext.basis, fresh.basis)
+
     def test_workspace_shape_checked(self, rng):
         op = random_operator(rng, self.N, self.S)
         v = random_block(rng, self.N, self.S)
@@ -245,6 +263,12 @@ class TestWorkspaces:
                     np.empty((self.M + 1, self.N, self.S), dtype=np.float32)):
             with pytest.raises(ValueError, match="workspace"):
                 arnoldi_run(op, v, Weight.identity(), self.M, out)
+
+
+def test_norm_of_nan_is_nan():
+    v = np.ones(6)
+    v[2] = np.nan
+    assert math.isnan(_norm(v, None)) and math.isnan(_norm(v, np.full(6, 2.0)))
 
 
 class TestHappyBreakdown:

@@ -177,6 +177,13 @@ class TestMainEntry:
         assert code == 1
         assert "identity" in capsys.readouterr().err
 
+    def test_nan_tolerance_exit_one(self, tmp_path, capsys):
+        code = main(["run", "--variant", "glgmres", "--strategy", "identity",
+                     "--m", "4", "--tol", "nan", "--fdm-n0", "4", "--fdm-s0", "2",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "tolerance" in capsys.readouterr().err
+
     def test_unknown_flag_exit_one(self):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--no-such-flag"])

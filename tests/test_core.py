@@ -141,6 +141,12 @@ class TestWeightedNorm:
         w = Weight.diagonal(rng.uniform(0.01, 1.0, 5), 2)
         assert weighted_norm(y, w) > 0.0
 
+    def test_nan_block_has_nan_norm(self):
+        y = np.ones((3, 2))
+        y[1, 0] = np.nan
+        for w in (Weight.identity(), Weight.diagonal([1.0, 2.0, 3.0], 2)):
+            assert np.isnan(weighted_norm(y, w))
+
     def test_weight_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             Weight.diagonal([1.0, 0.0], 2)

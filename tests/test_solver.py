@@ -1,5 +1,7 @@
 """Restarted weighted global GMRES, harmonic extraction and deflation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,12 +17,13 @@ from sylgmres import (
 )
 from sylgmres.arnoldi import arnoldi_run
 from sylgmres.cli import COEFFICIENT_PRESETS
-from sylgmres.core import (Weight, apply_sylvester, diamond_product, frob, weighted_inner,
-                           weighted_norm)
+import sylgmres.solver as solver_mod
+from sylgmres.core import (Weight, apply_sylvester, as_block, diamond_product, frob,
+                           weighted_inner, weighted_norm)
 from sylgmres.dense import EigenPairSet, hessenberg_lsq
 from sylgmres.problems import FdmSpec, fdm_matrix, gen_rhs
 from sylgmres.solver import DeflationError, HarmonicSet, restart_subspace, select_and_realify
-from sylgmres.weighting import STRATEGY_KINDS
+from sylgmres.weighting import STRATEGY_KINDS, make_weight
 
 from conftest import random_block, random_operator
 
@@ -368,6 +371,52 @@ class TestWglgmresDr:
         assert a.cycles == b.cycles == 1
         assert np.array_equal(a.x, b.x)
 
+    def test_plain_restart_is_a_one_block_prefix(self):
+        # on this right-hand side the norm of an F-ordered copy of the
+        # residual differs from beta in the last bit, so the start block
+        # must be built from the solver's own residual and beta
+        op = SylvesterOperator(fdm_matrix(FdmSpec(8, *COEFFICIENT_PRESETS["varcoef1"])),
+                               fdm_matrix(FdmSpec(2, *COEFFICIENT_PRESETS["varcoef2"])))
+        c = gen_rhs(op.n, op.s, 2)
+        rep = wglgmres_dr(op, c, SolverConfig(m=10, tol=1e-10, record_cycles=True))
+        r = as_block(c) - apply_sylvester(op, np.zeros(op.shape))
+        beta = weighted_norm(r, Weight.identity())
+        first = rep.traces[0]
+        assert first.prefix_blocks == 1
+        assert first.beta == first.c[0] == beta
+        assert np.array_equal(first.dec.basis[0], r / beta)
+
+    @pytest.mark.parametrize("strat", STRATEGY_KINDS)
+    def test_weight_rebuilt_only_when_it_follows_the_residual(self, strat, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return make_weight(*args, **kwargs)
+
+        monkeypatch.setattr(solver_mod, "make_weight", counting)
+        op = SylvesterOperator(fdm_matrix(FdmSpec(8, *COEFFICIENT_PRESETS["varcoef1"])),
+                               fdm_matrix(FdmSpec(2, *COEFFICIENT_PRESETS["varcoef2"])))
+        ws = WeightStrategy(strat, seed=3 if strat == "random" else None)
+        rep = wglgmres_dr(op, gen_rhs(op.n, op.s, 7), SolverConfig(m=4, k=2, strategy=ws))
+        assert rep.converged and rep.cycles >= 3
+        assert len(calls) == (rep.cycles if ws.follows_residual else 1)
+
+    @pytest.mark.parametrize("strat", STRATEGY_KINDS)
+    def test_non_finite_residual_raises(self, strat):
+        # the first row of A @ x0 sums inf and -inf, so the residual holds NaN
+        a = np.eye(6)
+        a[0, 1], a[0, 2] = 1e308, -1e308
+        op = SylvesterOperator(a, np.zeros((2, 2)))
+        ws = WeightStrategy(strat, seed=3 if strat == "random" else None)
+        with pytest.raises(ValueError, match="finite"):
+            wglgmres_dr(op, np.ones((6, 2)), SolverConfig(m=4, strategy=ws),
+                        x0=np.full((6, 2), 10.0))
+
+    def test_nan_tolerance_rejected(self):
+        with pytest.raises(ValueError, match="tolerance"):
+            SolverConfig(m=4, tol=float("nan"))
+
     def test_fdm_desk_problem_matches_oracle(self):
         a = fdm_matrix(FdmSpec(20,
                                lambda x, y: np.exp(x**2 + y),
@@ -475,8 +524,8 @@ class TestWglgmresDr:
 
 
 class TestBasisWorkspaces:
-    """An unrecorded solve builds every basis in two alternating workspaces; a
-    recorded one allocates each cycle's basis afresh and keeps it."""
+    """Every solve builds every basis in two alternating workspaces; a recorded
+    one also keeps a copy of each cycle's basis."""
 
     @pytest.mark.parametrize("k", [0, 5])
     @pytest.mark.parametrize("strat", STRATEGY_KINDS)
@@ -493,6 +542,8 @@ class TestBasisWorkspaces:
         assert plain.converged and recorded.converged
         assert np.array_equal(plain.x, recorded.x)
         assert plain.cycles == recorded.cycles >= 3
+        assert ([replace(h, wall_s=0.0) for h in plain.history]
+                == [replace(h, wall_s=0.0) for h in recorded.history])
         if k:
             assert sum(t.prefix_blocks > 1 for t in recorded.traces) >= 2
         bases = [t.dec.basis for t in recorded.traces]

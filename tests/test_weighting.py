@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sylgmres import WeightStrategy
-from sylgmres.weighting import make_weight
+from sylgmres.weighting import STRATEGY_KINDS, make_weight
 
 
 R_EXAMPLE = np.array([[3.0, 5.0], [-2.0, -4.0]])
@@ -54,6 +54,16 @@ class TestMakeWeight:
         assert np.all(w1.data > 0.0) and np.all(w1.data < 2.0)
         w3 = make_weight(WeightStrategy("random", seed=43), residual=r)
         assert not np.array_equal(w1.data, w3.data)
+
+    def test_nan_floor_rejected(self):
+        with pytest.raises(ValueError, match="floor_rel"):
+            WeightStrategy("mean", floor_rel=float("nan"))
+
+    def test_only_residual_driven_kinds_follow_the_residual(self):
+        follows = {kind: WeightStrategy(kind, seed=1).follows_residual
+                   for kind in STRATEGY_KINDS}
+        assert follows == {"identity": False, "max-col": True, "min-col": True,
+                           "mean": True, "hadamard": False, "random": False}
 
     def test_random_requires_seed(self):
         with pytest.raises(ValueError):

@@ -21,6 +21,7 @@ import csv
 import json
 import sys
 from dataclasses import asdict, dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -28,8 +29,6 @@ from .core import SylvesterOperator
 from .problems import (
     FdmSpec,
     MatrixMarketError,
-    ProblemInstance,
-    default_density,
     fdm_matrix,
     gen_rhs,
     read_matrix_market,
@@ -128,22 +127,17 @@ class ExperimentConfig:
 def _build_matrix(path, preset, n0, role):
     if path is not None:
         try:
-            return read_matrix_market(path), f"file:{path}"
+            return read_matrix_market(path)
         except OSError as exc:
             raise UsageError(f"cannot read {role} matrix: {exc}") from exc
-    f1, f2, f3 = COEFFICIENT_PRESETS[preset]
-    return fdm_matrix(FdmSpec(n0, f1, f2, f3)), f"fdm:{preset}:n0={n0}"
+    return fdm_matrix(FdmSpec(n0, *COEFFICIENT_PRESETS[preset]))
 
 
 def build_problem(cfg):
-    """Assemble the ProblemInstance an ExperimentConfig names."""
-    a, prov_a = _build_matrix(cfg.matrix_a, cfg.preset_a, cfg.fdm_n0, "A")
-    b, prov_b = _build_matrix(cfg.matrix_b, cfg.preset_b, cfg.fdm_s0, "B")
-    op = SylvesterOperator(a, b)
-    density = cfg.density if cfg.density is not None else default_density(op.n, op.s)
-    c = gen_rhs(op.n, op.s, cfg.seed, density)
-    provenance = f"A=({prov_a}) B=({prov_b}) rhs(seed={cfg.seed}, density={density:g})"
-    return ProblemInstance(op=op, c=c, provenance=provenance)
+    """The operator and right-hand side ``(op, c)`` an ExperimentConfig names."""
+    op = SylvesterOperator(_build_matrix(cfg.matrix_a, cfg.preset_a, cfg.fdm_n0, "A"),
+                           _build_matrix(cfg.matrix_b, cfg.preset_b, cfg.fdm_s0, "B"))
+    return op, gen_rhs(op.n, op.s, cfg.seed, cfg.density)
 
 
 def _solver_config(cfg):
@@ -190,12 +184,8 @@ def run_experiment(cfg):
     Returns ``(report, files)`` where ``files`` maps the emitted kinds to
     their paths.  The initial guess is always the zero block.
     """
-    from pathlib import Path
-
     cfg.validate()
-    problem = build_problem(cfg)
-    solver_cfg = _solver_config(cfg)
-    report = wglgmres_dr(problem.op, problem.c, solver_cfg)
+    report = wglgmres_dr(*build_problem(cfg), _solver_config(cfg))
 
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -203,9 +193,7 @@ def run_experiment(cfg):
     summary_path = out_dir / "summary.csv"
     _write_history(report, history_path)
     _write_summary([_summary_row(cfg, report)], summary_path)
-    files = {"history": str(history_path), "summary": str(summary_path),
-             "provenance": problem.provenance}
-    return report, files
+    return report, {"history": str(history_path), "summary": str(summary_path)}
 
 
 def compare_variants(cfgs):
@@ -213,7 +201,10 @@ def compare_variants(cfgs):
     the one problem they share.
 
     Returns ``(rows, reports)`` with one summary row per config, in order.
+    An empty ``cfgs`` raises UsageError.
     """
+    if not cfgs:
+        raise UsageError("no variants to compare")
     base = None
     for cfg in cfgs:
         cfg.validate()
@@ -225,9 +216,9 @@ def compare_variants(cfgs):
             raise UsageError("compared configs may differ only in variant, strategy, m and k")
     rows = []
     reports = []
-    problem = build_problem(cfgs[0]) if cfgs else None
+    op, c = build_problem(cfgs[0])
     for cfg in cfgs:
-        report = wglgmres_dr(problem.op, problem.c, _solver_config(cfg))
+        report = wglgmres_dr(op, c, _solver_config(cfg))
         rows.append(_summary_row(cfg, report))
         reports.append(report)
     return rows, reports
@@ -332,8 +323,6 @@ def _cmd_run(args):
 
 
 def _cmd_compare(args):
-    from pathlib import Path
-
     base = _config_from_args(args)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     cfgs = []

@@ -7,8 +7,8 @@ diagonal D is the W that repeats D over the columns, giving trace(Z^T D Y).
 The diamond product of two block sequences collects all pairwise weighted
 inner products into a small Gram matrix.
 
-Block vectors are plain float64 ndarrays.  A sequence of r blocks is one
-C-ordered (r, n, s) array (a list of blocks is stacked into one), so its
+Block vectors are plain C-ordered float64 ndarrays.  A sequence of r blocks
+is one C-ordered (r, n, s) array (a list of blocks is stacked into one), so its
 (r, n*s) reshape is a view: the diamond product is one matrix product of two
 such views and a basis combination one matrix-vector (or matrix-matrix)
 product.  Sparse matrices are scipy CSR arrays.
@@ -34,8 +34,9 @@ __all__ = [
 
 
 def as_block(x, name="block"):
-    """Coerce ``x`` to a float64 column-major 2d array with finite entries."""
-    b = np.asfortranarray(x, dtype=np.float64)
+    """Coerce ``x`` to a C-ordered float64 2d array with finite entries, the
+    layout of the Arnoldi blocks; such an array is returned as is, not copied."""
+    b = np.ascontiguousarray(x, dtype=np.float64)
     if b.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {b.shape}")
     if not np.isfinite(b).all():
@@ -53,9 +54,26 @@ def as_csr(mat, name="matrix"):
     return m
 
 
+_TINY = float(np.finfo(np.float64).tiny)
+
+
+def _root(sum_sq, y):
+    """sqrt(sum_sq(y)) for a sum of squares; one that under- or overflowed
+    (below the smallest normal float or inf) is redone on y / max|y|."""
+    val, t = sum_sq(y), 1.0
+    if not _TINY <= val < np.inf and 0.0 < (big := float(np.abs(y).max(initial=0.0))) < np.inf:
+        val, t = sum_sq(y / big), big
+    # tiny negative values can appear through rounding in the einsum
+    # reduction; only those are clamped, so a NaN stays NaN
+    return 0.0 if val <= 0.0 else t * float(np.sqrt(val))
+
+
 def frob(x):
-    """Frobenius norm of a dense array."""
-    return float(np.linalg.norm(np.asarray(x)))
+    """Frobenius norm of a dense array, summed in C order whatever its layout
+    (as np.linalg.norm sums a C-ordered array) and rescaled as in _root."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    with np.errstate(over="ignore"):  # an overflowed sum is rescaled
+        return _root(lambda v: float(v.dot(v)), x)
 
 
 class Weight:
@@ -175,11 +193,9 @@ def weighted_inner(y, z, weight):
 
 
 def weighted_norm(y, weight):
-    """Norm induced by :func:`weighted_inner`; zero only for the zero block."""
-    val = weighted_inner(y, y, weight)
-    # tiny negative values can appear through rounding in the einsum
-    # reduction; only those are clamped, so a NaN stays NaN
-    return 0.0 if val <= 0.0 else float(np.sqrt(val))
+    """Norm induced by :func:`weighted_inner`, rescaled as in _root; zero
+    only for the zero block."""
+    return _root(lambda v: weighted_inner(v, v, weight), np.asarray(y))
 
 
 def _stacked(blocks, name):

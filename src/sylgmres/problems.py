@@ -20,11 +20,10 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .core import SylvesterOperator, as_csr, frob
+from .core import as_csr, frob
 
 __all__ = [
     "FdmSpec",
-    "ProblemInstance",
     "MatrixMarketError",
     "fdm_matrix",
     "read_matrix_market",
@@ -65,21 +64,6 @@ class FdmSpec:
     def __post_init__(self):
         if self.n0 < 1:
             raise ValueError("n0 must be >= 1")
-
-
-@dataclass(frozen=True)
-class ProblemInstance:
-    """A Sylvester problem: operator, right-hand side and how they were made."""
-
-    op: SylvesterOperator
-    c: np.ndarray
-    provenance: str
-
-    def __post_init__(self):
-        if self.c.shape != self.op.shape:
-            raise ValueError(
-                f"right-hand side shape {self.c.shape} does not match operator {self.op.shape}"
-            )
 
 
 def _coefficient_values(f, x, y):
@@ -266,8 +250,8 @@ def gen_rhs(n, s, seed, density=None):
     """Seeded random right-hand side with roughly ``density * n * s`` nonzeros.
 
     Nonzero positions are Bernoulli(density), values uniform on (0, 1); the
-    result is materialized dense.  Identical arguments give bit-identical
-    output.
+    result is a dense C-ordered (n, s) array, the solver's block layout.
+    Identical arguments give bit-identical output.
     """
     if density is None:
         density = default_density(n, s)
@@ -276,7 +260,7 @@ def gen_rhs(n, s, seed, density=None):
     rng = np.random.default_rng(seed)
     mask = rng.random((n, s)) < density
     values = rng.random((n, s))
-    return np.asfortranarray(np.where(mask, values, 0.0))
+    return np.where(mask, values, 0.0)
 
 
 def kron_solve(op, c):

@@ -49,7 +49,6 @@ __all__ = [
     "SolveReport",
     "CycleRecord",
     "CycleTrace",
-    "HarmonicSet",
     "DeflationError",
     "wglgmres",
     "wglgmres_dr",
@@ -118,7 +117,7 @@ class CycleTrace:
     cycle: int
     weight: object
     prev_weight: object
-    prefix_blocks: int  # prefix length: 1 after a plain restart, k_effective + 1 otherwise
+    prefix_blocks: int  # 1 after a plain restart, else recycled columns + 1
     dec: ArnoldiDecomposition
     c: np.ndarray
     y: np.ndarray
@@ -135,21 +134,6 @@ class SolveReport:
     breakdowns: list
     wall_time: float
     traces: list | None = None
-
-
-@dataclass
-class HarmonicSet:
-    """Smallest-magnitude harmonic pairs with their realified basis.
-
-    ``g_real`` stacks the selected eigenvectors as real columns: real pairs
-    contribute their vector, complex conjugate pairs contribute (Re g, Im g)
-    exactly once.  ``k_effective`` is the resulting column count after the
-    conjugate-pair boundary adjustment.
-    """
-
-    pairs: EigenPairSet
-    g_real: np.ndarray
-    k_effective: int
 
 
 def harmonic_pairs(h):
@@ -189,12 +173,12 @@ def harmonic_pairs(h):
 
 
 def select_and_realify(pairs, k):
-    """Pick the k smallest-magnitude pairs and build a real column set.
+    """The k smallest-magnitude pairs' eigenvectors as a real (m, k_eff) matrix.
 
-    If the cut would split a complex conjugate pair, k grows by one so both
-    the real and the imaginary part enter (shrinking by one instead when the
-    grown k would exceed m - 2).  Each conjugate pair contributes the two
-    columns (Re g, Im g) exactly once.
+    Real pairs contribute their vector; each complex conjugate pair
+    contributes the two columns (Re g, Im g) exactly once.  If the cut would
+    split a conjugate pair, k grows by one so both enter (shrinking by one
+    instead when the grown k would exceed m - 2); k_eff is the column count.
     """
     if k < 1:
         raise ValueError("selection count k must be >= 1")
@@ -228,26 +212,25 @@ def select_and_realify(pairs, k):
     if k_sel < 1:
         raise DeflationError("conjugate-pair adjustment left nothing to deflate")
 
-    g_real = np.column_stack(cols)
-    selected = EigenPairSet(values[:k_sel], vectors[:, :k_sel])
-    return HarmonicSet(selected, g_real, g_real.shape[1])
+    return np.column_stack(cols)
 
 
-def restart_subspace(dec, hs, r, out=None):
+def restart_subspace(dec, g_real, r, out=None):
     """Recycled blocks and projected recurrence for a deflated restart.
 
-    Orthonormalizes the realified harmonic columns, appends the normalized
-    component of the small residual vector ``r`` orthogonal to them, and maps
-    both through the current basis in one product: the returned stacked
-    (k+1, n, s) blocks span the harmonic Ritz block vectors plus the
-    residual, and ``new_h`` restates the recurrence on that set.  The blocks
-    are written into the leading slots of ``out`` (a C-ordered float64 array
-    of at least k+1 blocks of the basis's block shape that must not overlap
-    the basis; ValueError otherwise), or into a new array when it is None.
+    Orthonormalizes the realified harmonic columns ``g_real`` (the matrix
+    :func:`select_and_realify` returns), appends the normalized component of
+    the small residual vector ``r`` orthogonal to them, and maps both through
+    the current basis in one product: the returned stacked (k+1, n, s) blocks
+    span the harmonic Ritz block vectors plus the residual, and ``new_h``
+    restates the recurrence on that set.  The blocks are written into the
+    leading slots of ``out`` (a C-ordered float64 array of at least k+1
+    blocks of the basis's block shape that must not overlap the basis;
+    ValueError otherwise), or into a new array when it is None.
     Raises DeflationError when the harmonic columns are rank deficient or
     ``r`` already lies in their span.
     """
-    qr = reduced_qr(hs.g_real)
+    qr = reduced_qr(g_real)
     kq = qr.q.shape[1]
     if kq == 0:
         raise DeflationError("harmonic vectors are numerically rank deficient")
@@ -261,8 +244,8 @@ def restart_subspace(dec, hs, r, out=None):
     v = r.copy()
     for _ in range(2):
         v -= q_ext @ (q_ext.T @ v)
-    nrm = float(np.linalg.norm(v))
-    if nrm <= _RESTART_SPAN_TOL * float(np.linalg.norm(r)):
+    nrm = frob(v)
+    if nrm <= _RESTART_SPAN_TOL * frob(r):
         raise DeflationError("residual direction already lies in the recycled span")
     q = np.column_stack([q_ext, v / nrm])
 
@@ -323,8 +306,7 @@ def wglgmres_dr(op, c, cfg, x0=None):
     c = as_block(c, name="right-hand side")
     if c.shape != op.shape:
         raise ValueError(f"right-hand side shape {c.shape} does not match operator {op.shape}")
-    # C order, like the Arnoldi blocks: A @ X with CSR A is faster on it
-    x = np.zeros(op.shape) if x0 is None else as_block(x0, name="x0").copy(order="C")
+    x = np.zeros(op.shape) if x0 is None else as_block(x0, name="x0").copy()
     if x.shape != op.shape:
         raise ValueError(f"initial guess shape {x.shape} does not match operator {op.shape}")
 
@@ -353,9 +335,10 @@ def wglgmres_dr(op, c, cfg, x0=None):
         if weight is None or cfg.strategy.follows_residual:
             weight = make_weight(cfg.strategy, residual=r, rhs=c)
             norm_c_d = weighted_norm(c, weight)
-        beta = weighted_norm(r, weight)
-        if not np.isfinite(beta):
-            raise ValueError(f"cycle {cycle}: the weighted residual norm is {beta}, not finite")
+            beta = weighted_norm(r, weight)
+        if not np.isfinite(beta) or (beta == 0.0 and r.any()):  # NaN, over- or underflow
+            raise ValueError(f"cycle {cycle}: the weighted residual norm is {beta}, "
+                             "not a finite positive float")
         if beta == 0.0:
             converged = True
             break
@@ -381,16 +364,17 @@ def wglgmres_dr(op, c, cfg, x0=None):
             events.append(f"cycle {cycle}: degenerate projected least-squares")
         ncols = dec.h.shape[1]
         x += basis_combine(dec.basis[:ncols], sol.y)
-        r = c - op.apply(x)
-
-        est = sol.rho / norm_c_d
-        explicit = weighted_norm(r, weight) / norm_c_d
-        true_rel = frob(r) / norm_c_f
-        history.append(CycleRecord(cycle, cum_iter, est, true_rel,
-                                   weight.tag, time.perf_counter() - t0))
         if traces is not None:
             traces.append(CycleTrace(cycle, weight, prev_weight, len(blocks),
                                      replace(dec, basis=dec.basis.copy()), cvec, sol.y, beta))
+        r = c - op.apply(x)
+        beta = weighted_norm(r, weight)  # the next cycle's, unless the weight changes
+
+        est = sol.rho / norm_c_d
+        explicit = beta / norm_c_d
+        true_rel = frob(r) / norm_c_f
+        history.append(CycleRecord(cycle, cum_iter, est, true_rel,
+                                   weight.tag, time.perf_counter() - t0))
 
         if est <= cfg.tol and explicit <= cfg.tol and true_rel <= cfg.tol:
             converged = True
@@ -401,9 +385,8 @@ def wglgmres_dr(op, c, cfg, x0=None):
         prefix = None
         if cfg.k > 0 and dec.breakdown is None and not sol.degenerate:
             try:
-                pairs = harmonic_pairs(dec.h)
-                hs = select_and_realify(pairs, cfg.k)
-                blocks, new_h, q = restart_subspace(dec, hs, sol.residual, spare)
+                g_real = select_and_realify(harmonic_pairs(dec.h), cfg.k)
+                blocks, new_h, q = restart_subspace(dec, g_real, sol.residual, spare)
                 prefix = (blocks, new_h, q.T @ sol.residual)
             except (DeflationError, SingularMatrixError, EigenConvergenceError) as exc:
                 events.append(f"cycle {cycle}: deflation skipped ({exc})")

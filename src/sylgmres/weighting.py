@@ -95,10 +95,13 @@ def make_weight(strategy, residual=None, rhs=None):
         d = np.random.default_rng(strategy.seed).uniform(0.0, 2.0, (r.shape[0], 1))
         return _floored(d, r.shape, strategy.floor_rel, f"random[{strategy.seed}]")
 
-    if np.abs(r).max() < _ZERO_RESIDUAL:
+    big = float(np.abs(r).max())
+    if big < _ZERO_RESIDUAL:
         return Weight.identity(tag=f"identity[degenerate:{kind}]")
 
     if kind in ("max-col", "min-col"):
+        if not 1e-150 <= big <= 1e150:  # the squares would under- or overflow
+            r = r / big
         norms = np.linalg.norm(r, axis=0)
         t = int(np.argmax(norms) if kind == "max-col" else np.argmin(norms))
         if norms[t] == 0.0:

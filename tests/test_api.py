@@ -56,3 +56,18 @@ def test_package_docstring_quick_start_runs():
             break
         lines.append(line)
     _run(textwrap.dedent("\n".join(lines)), "sylgmres/__init__.py")
+
+
+def test_readme_building_blocks_resolve():
+    # "* `sylgmres.<module>`: ..." bullets; every bare identifier in
+    # backticks must exist on that module, so a removed name cannot stay
+    # documented
+    text = (ROOT / "README.md").read_text()
+    bullets = re.findall(r"^\* `(sylgmres\.\w+)`: (.*?)(?=^\* |^$)", text, re.M | re.S)
+    assert len(bullets) >= 6
+    for module, body in bullets:
+        mod = importlib.import_module(module)
+        names = [n for n in re.findall(r"`([^`]+)`", body) if n.isidentifier()]
+        assert names, module
+        for name in names:
+            assert hasattr(mod, name), f"README names {module}.{name}"

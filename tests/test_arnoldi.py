@@ -132,8 +132,8 @@ class TestArnoldiExtend:
         c = np.zeros(m + 1)
         c[0] = weighted_norm(v, w_old)
         sol = hessenberg_lsq(dec.h, c)
-        hs = select_and_realify(harmonic_pairs(dec.h), k)
-        blocks, new_h, q = restart_subspace(dec, hs, sol.residual)
+        g_real = select_and_realify(harmonic_pairs(dec.h), k)
+        blocks, new_h, q = restart_subspace(dec, g_real, sol.residual)
         w_new = weight_new if weight_new is not None else w_old
         seed = ArnoldiDecomposition(blocks, new_h)
         for b in seed.basis:
@@ -208,9 +208,9 @@ class TestWorkspaces:
         c = np.zeros(self.M + 1)
         c[0] = weighted_norm(v, w_old)
         sol = hessenberg_lsq(dec.h, c)
-        hs = select_and_realify(harmonic_pairs(dec.h), self.K)
-        blocks, new_h, _ = restart_subspace(dec, hs, sol.residual)
-        placed, placed_h, _ = restart_subspace(dec, hs, sol.residual, second)
+        g_real = select_and_realify(harmonic_pairs(dec.h), self.K)
+        blocks, new_h, _ = restart_subspace(dec, g_real, sol.residual)
+        placed, placed_h, _ = restart_subspace(dec, g_real, sol.residual, second)
         assert np.array_equal(blocks, placed) and np.array_equal(new_h, placed_h)
         assert np.shares_memory(placed, second) and not np.shares_memory(blocks, second)
         fresh = arnoldi_extend(ArnoldiDecomposition(blocks, new_h), op, w_new, self.M)
@@ -348,8 +348,8 @@ def _deflated_prefix(rng, op, m, k):
     c = np.zeros(m + 1)
     c[0] = weighted_norm(v, w_old)
     sol = hessenberg_lsq(dec.h, c)
-    hs = select_and_realify(harmonic_pairs(dec.h), k)
-    blocks, new_h, _ = restart_subspace(dec, hs, sol.residual)
+    g_real = select_and_realify(harmonic_pairs(dec.h), k)
+    blocks, new_h, _ = restart_subspace(dec, g_real, sol.residual)
     return blocks, new_h
 
 

@@ -70,17 +70,10 @@ class TestRunExperiment:
                                fdm_n0=20, fdm_s0=2, seed=7, out=str(tmp_path / "out"))
         report, _ = run_experiment(cfg)
         assert report.converged
-        problem = build_problem(cfg)
-        expect = kron_solve(problem.op, problem.c)
+        op, c = build_problem(cfg)
+        expect = kron_solve(op, c)
         assert report.true_resnorm <= 10 * cfg.tol
         assert frob(report.x - expect) <= 1e-5 * frob(expect)
-
-    def test_provenance_records_density(self, tmp_path):
-        cfg = ExperimentConfig(variant="glgmres", strategy="identity", m=4,
-                               fdm_n0=4, fdm_s0=2, out=str(tmp_path / "out"))
-        _, files = run_experiment(cfg)
-        assert "density=" in files["provenance"]
-        assert "seed=0" in files["provenance"]
 
     def test_validation_errors(self):
         with pytest.raises(UsageError):
@@ -141,8 +134,8 @@ class TestCompareVariants:
                 alone.cycles, alone.true_resnorm, alone.converged)
 
     def test_empty_set(self):
-        rows, reports = compare_variants([])
-        assert rows == [] and reports == []
+        with pytest.raises(UsageError, match="no variants"):
+            compare_variants([])
         assert render_comparison([])  # header renders
 
     def test_mismatched_configs_rejected(self, tmp_path):
@@ -183,6 +176,12 @@ class TestMainEntry:
                      "--out", str(tmp_path / "out")])
         assert code == 1
         assert "tolerance" in capsys.readouterr().err
+
+    def test_compare_empty_variants_exit_one(self, tmp_path, capsys):
+        code = main(["compare", "--variants", ",", "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "no variants" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "comparison.csv").exists()
 
     def test_unknown_flag_exit_one(self):
         with pytest.raises(SystemExit) as exc:

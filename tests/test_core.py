@@ -13,6 +13,7 @@ from sylgmres.core import (
     as_block,
     basis_combine,
     diamond_product,
+    frob,
     weighted_inner,
     weighted_norm,
 )
@@ -147,6 +148,35 @@ class TestWeightedNorm:
         for w in (Weight.identity(), Weight.diagonal([1.0, 2.0, 3.0], 2)):
             assert np.isnan(weighted_norm(y, w))
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e160, 1e200])
+    def test_squares_out_of_range_are_rescaled(self, rng, scale):
+        # the sums of squares under- or overflow; the norms themselves do not
+        y = random_block(rng, 5, 3)
+        d = rng.uniform(0.5, 2.0, 5)
+        close = {"rel": 1e-14, "abs": 0.0}
+        assert frob(scale * y) == pytest.approx(scale * frob(y), **close)
+        for w in (Weight.identity(), Weight.diagonal(d, 3)):
+            assert weighted_norm(scale * y, w) == pytest.approx(scale * weighted_norm(y, w),
+                                                                **close)
+        # a weight on the block's own scale, as the mean strategy builds it
+        got = weighted_norm(scale * y, Weight.diagonal(scale * d, 3))
+        assert got == pytest.approx(scale**1.5 * weighted_norm(y, Weight.diagonal(d, 3)),
+                                    **close)
+
+    def test_normal_range_sums_unchanged(self, rng):
+        y = random_block(rng, 7, 3)
+        w = Weight.diagonal(rng.uniform(0.5, 2.0, 7), 3)
+        for block in (y, np.ascontiguousarray(y), y[::2]):
+            # in C order, whatever the layout
+            assert frob(block) == float(np.linalg.norm(np.ascontiguousarray(block)))
+        assert weighted_norm(y, w) == float(np.sqrt(np.einsum("ij,ij,ij->", w.data, y, y)))
+
+    def test_infinite_block_has_infinite_norm(self):
+        y = np.ones((3, 2))
+        y[0, 1] = np.inf
+        assert frob(y) == np.inf
+        assert weighted_norm(y, Weight.identity()) == np.inf
+
     def test_weight_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             Weight.diagonal([1.0, 0.0], 2)
@@ -268,6 +298,11 @@ class TestAsBlock:
         with pytest.raises(ValueError):
             as_block(np.ones(3))
 
-    def test_column_major(self):
-        b = as_block(np.ones((3, 2)))
-        assert b.flags.f_contiguous
+    def test_c_ordered_without_copy(self):
+        c_ordered = np.ones((3, 2))
+        assert as_block(c_ordered) is c_ordered
+        for x in (np.asfortranarray(c_ordered), np.ones((3, 2), dtype=np.float32),
+                  [[1, 2], [3, 4]]):
+            b = as_block(x)
+            assert b.flags.c_contiguous and b.dtype == np.float64
+            assert np.array_equal(b, x)

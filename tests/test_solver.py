@@ -22,7 +22,7 @@ from sylgmres.core import (Weight, apply_sylvester, as_block, diamond_product, f
                            weighted_inner, weighted_norm)
 from sylgmres.dense import EigenPairSet, hessenberg_lsq
 from sylgmres.problems import FdmSpec, fdm_matrix, gen_rhs
-from sylgmres.solver import DeflationError, HarmonicSet, restart_subspace, select_and_realify
+from sylgmres.solver import DeflationError, restart_subspace, select_and_realify
 from sylgmres.weighting import STRATEGY_KINDS, make_weight
 
 from conftest import random_block, random_operator
@@ -209,9 +209,9 @@ class TestSelectAndRealify:
     def test_all_real_unchanged(self, rng):
         vecs = np.linalg.qr(rng.standard_normal((6, 6)))[0]
         pairs = self._real_pairs([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], vecs)
-        hs = select_and_realify(pairs, 2)
-        assert hs.k_effective == 2
-        assert np.allclose(hs.g_real, vecs[:, :2].real)
+        g_real = select_and_realify(pairs, 2)
+        assert g_real.shape[1] == 2
+        assert np.allclose(g_real, vecs[:, :2].real)
 
     def test_split_conjugate_pair_grows(self, rng):
         g = rng.standard_normal(6) + 1j * rng.standard_normal(6)
@@ -220,29 +220,28 @@ class TestSelectAndRealify:
         vectors = np.column_stack([rng.standard_normal(6), g, np.conj(g),
                                    rng.standard_normal(6)])
         pairs = self._real_pairs(values, vectors)
-        hs = select_and_realify(pairs, 2)  # cut splits the pair, k grows to 3
-        assert hs.k_effective == 3
-        assert np.allclose(hs.g_real[:, 1], g.real)
-        assert np.allclose(hs.g_real[:, 2], g.imag)
+        g_real = select_and_realify(pairs, 2)  # cut splits the pair, k grows to 3
+        assert g_real.shape[1] == 3
+        assert np.allclose(g_real[:, 1], g.real)
+        assert np.allclose(g_real[:, 2], g.imag)
 
     def test_leading_conjugate_pair_deduplicated(self, rng):
         g = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         values = [1.0 + 0.5j, 1.0 - 0.5j, 3.0]
         vectors = np.column_stack([g, np.conj(g), rng.standard_normal(5)])
-        hs = select_and_realify(self._real_pairs(values, vectors), 2)
-        assert hs.k_effective == 2
-        assert hs.g_real.shape == (5, 2)
+        g_real = select_and_realify(self._real_pairs(values, vectors), 2)
+        assert g_real.shape == (5, 2)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_selected_vectors_in_real_span(self, seed):
         rng = np.random.default_rng(seed)
         h = np.triu(rng.standard_normal((8, 7)), -1)
         pairs = harmonic_pairs(h)
-        hs = select_and_realify(pairs, 3)
-        for i in range(hs.k_effective):
-            g = hs.pairs.vectors[:, i]
-            coeff = np.linalg.lstsq(hs.g_real.astype(complex), g, rcond=None)[0]
-            assert np.linalg.norm(hs.g_real @ coeff - g) <= 1e-10
+        g_real = select_and_realify(pairs, 3)
+        for i in range(g_real.shape[1]):  # the selected pairs lead ``pairs``
+            g = pairs.vectors[:, i]
+            coeff = np.linalg.lstsq(g_real.astype(complex), g, rcond=None)[0]
+            assert np.linalg.norm(g_real @ coeff - g) <= 1e-10
 
     def test_cap_at_m_minus_two(self, rng):
         g = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -250,16 +249,16 @@ class TestSelectAndRealify:
         vectors = np.column_stack([rng.standard_normal(4), g, np.conj(g),
                                    rng.standard_normal(4)])
         # m = 4 so cap is 2; the cut at k=2 splits the pair and must shrink
-        hs = select_and_realify(self._real_pairs(values, vectors), 2)
-        assert hs.k_effective == 1
+        g_real = select_and_realify(self._real_pairs(values, vectors), 2)
+        assert g_real.shape[1] == 1
 
 
 class TestRestartSubspace:
     def test_new_basis_weight_orthonormal(self, rng):
         w = Weight.diagonal(rng.uniform(0.4, 2.5, 10), 2)
         op, c, w, beta, dec, sol = run_one_cycle(rng, m=6, weight=w)
-        hs = select_and_realify(harmonic_pairs(dec.h), 2)
-        blocks, new_h, q = restart_subspace(dec, hs, sol.residual)
+        g_real = select_and_realify(harmonic_pairs(dec.h), 2)
+        blocks, new_h, q = restart_subspace(dec, g_real, sol.residual)
         gram = diamond_product(blocks, blocks, w)
         assert np.abs(gram - np.eye(len(blocks))).max() <= 1e-12
 
@@ -271,9 +270,9 @@ class TestRestartSubspace:
         if not real_idx:
             pytest.skip("no real harmonic value in this draw")
         g = pairs.vectors[:, real_idx[0]].real
-        hs = select_and_realify(
+        g_real = select_and_realify(
             EigenPairSet(pairs.values[real_idx[:1]], pairs.vectors[:, real_idx[:1]]), 1)
-        blocks, new_h, q = restart_subspace(dec, hs, sol.residual)
+        blocks, new_h, q = restart_subspace(dec, g_real, sol.residual)
         gn = g / np.linalg.norm(g)
         expect = sum(gn[i] * dec.basis[i] for i in range(6))
         assert min(frob(blocks[0] - expect), frob(blocks[0] + expect)) <= 1e-10
@@ -282,8 +281,8 @@ class TestRestartSubspace:
     def test_restart_relation(self, seed):
         rng = np.random.default_rng(seed)
         op, c, w, beta, dec, sol = run_one_cycle(rng, n=12, s=2, m=6)
-        hs = select_and_realify(harmonic_pairs(dec.h), 2)
-        blocks, new_h, q = restart_subspace(dec, hs, sol.residual)
+        g_real = select_and_realify(harmonic_pairs(dec.h), 2)
+        blocks, new_h, q = restart_subspace(dec, g_real, sol.residual)
         scale = max(frob(apply_sylvester(op, b)) for b in blocks)
         for j in range(new_h.shape[1]):
             lhs = apply_sylvester(op, blocks[j])
@@ -292,33 +291,41 @@ class TestRestartSubspace:
 
     def test_residual_in_span_rejected(self, rng):
         op, c, w, beta, dec, sol = run_one_cycle(rng, m=6)
-        hs = select_and_realify(harmonic_pairs(dec.h), 2)
-        blocks, new_h, q = restart_subspace(dec, hs, sol.residual)
+        g_real = select_and_realify(harmonic_pairs(dec.h), 2)
+        blocks, new_h, q = restart_subspace(dec, g_real, sol.residual)
         inside = q[:, 0] * 0.3 - 0.7 * q[:, 1]  # lies in the recycled span
         with pytest.raises(DeflationError):
-            restart_subspace(dec, hs, inside)
+            restart_subspace(dec, g_real, inside)
 
     def test_rank_zero_harmonic_columns_rejected(self, rng):
         # reduced_qr keeps no column of an all-zero set: its q is m x 0
         op, c, w, beta, dec, sol = run_one_cycle(rng, m=6)
-        hs = select_and_realify(harmonic_pairs(dec.h), 2)
-        zero = HarmonicSet(hs.pairs, np.zeros_like(hs.g_real), hs.k_effective)
+        g_real = select_and_realify(harmonic_pairs(dec.h), 2)
         with pytest.raises(DeflationError, match="rank deficient"):
-            restart_subspace(dec, zero, sol.residual)
+            restart_subspace(dec, np.zeros_like(g_real), sol.residual)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_residual_scale_does_not_matter(self, rng, scale):
+        op, c, w, beta, dec, sol = run_one_cycle(rng, m=6)
+        g_real = select_and_realify(harmonic_pairs(dec.h), 2)
+        unit = restart_subspace(dec, g_real, sol.residual)
+        scaled = restart_subspace(dec, g_real, scale * sol.residual)
+        for a, b in zip(unit, scaled):
+            assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
 
     def test_workspace_validated(self, rng):
         op, c, w, beta, dec, sol = run_one_cycle(rng, n=12, s=2, m=6)
-        hs = select_and_realify(harmonic_pairs(dec.h), 2)
-        blocks, _, _ = restart_subspace(dec, hs, sol.residual)
+        g_real = select_and_realify(harmonic_pairs(dec.h), 2)
+        blocks, _, _ = restart_subspace(dec, g_real, sol.residual)
         shape = (7, 12, 2)
-        placed, _, _ = restart_subspace(dec, hs, sol.residual, np.empty(shape))
+        placed, _, _ = restart_subspace(dec, g_real, sol.residual, np.empty(shape))
         assert np.array_equal(placed, blocks)
         # the product into an F-ordered workspace would land in a reshaped
         # copy of it and leave the workspace unwritten
         for out in (np.empty(shape, order="F"), np.empty(shape, dtype=np.float32),
                     np.empty((len(blocks) - 1, 12, 2)), np.empty((7, 2, 12))):
             with pytest.raises(ValueError, match="workspace"):
-                restart_subspace(dec, hs, sol.residual, out)
+                restart_subspace(dec, g_real, sol.residual, out)
 
 
 class TestCollinearity:
@@ -401,6 +408,31 @@ class TestWglgmresDr:
         rep = wglgmres_dr(op, gen_rhs(op.n, op.s, 7), SolverConfig(m=4, k=2, strategy=ws))
         assert rep.converged and rep.cycles >= 3
         assert len(calls) == (rep.cycles if ws.follows_residual else 1)
+
+    @pytest.mark.parametrize("strat", ["identity", "mean"])
+    def test_one_weighted_norm_per_residual(self, strat, monkeypatch):
+        calls = []
+
+        def counting(y, weight):
+            calls.append(1)
+            return weighted_norm(y, weight)
+
+        monkeypatch.setattr(solver_mod, "weighted_norm", counting)
+        op = SylvesterOperator(fdm_matrix(FdmSpec(8, *COEFFICIENT_PRESETS["varcoef1"])),
+                               fdm_matrix(FdmSpec(2, *COEFFICIENT_PRESETS["varcoef2"])))
+        c = gen_rhs(op.n, op.s, 7)
+        cfg = SolverConfig(m=4, k=2, strategy=WeightStrategy(strat), record_cycles=True)
+        rep = wglgmres_dr(op, c, cfg)
+        assert rep.converged and rep.cycles >= 3
+        # ||C||_D and the first beta once per weight, then one norm per residual
+        weights = rep.cycles if cfg.strategy.follows_residual else 1
+        assert len(calls) == 2 * weights + rep.cycles
+        # each trace keeps the beta its own cycle started from
+        x = np.zeros(op.shape)
+        for t in rep.traces:
+            expect = weighted_norm(c - apply_sylvester(op, x), t.weight)
+            assert t.beta == pytest.approx(expect, rel=1e-10)
+            x = rep_x_after(rep, t)
 
     @pytest.mark.parametrize("strat", STRATEGY_KINDS)
     def test_non_finite_residual_raises(self, strat):
@@ -521,6 +553,48 @@ class TestWglgmresDr:
         for t in rep.traces:
             gram = diamond_product(t.dec.basis, t.dec.basis, t.weight)
             assert np.abs(gram - np.eye(len(t.dec.basis))).max() <= 1e-10
+
+
+class TestExtremeScales:
+    """Norms rescale a block whose squares under- or overflow, so the solve
+    of s * C takes the counts of the solve of C and its iterate meets tol at
+    unit scale; at these scales the sums of squares used to read 0 or inf."""
+
+    @staticmethod
+    def _check(op, c, scale, cfg):
+        unit = wglgmres_dr(op, c, cfg)
+        rep = wglgmres_dr(op, scale * c, cfg)
+        assert rep.converged and unit.converged
+        assert rep.cycles == unit.cycles and rep.breakdowns == unit.breakdowns
+        assert [r.weight_tag for r in rep.history] == [r.weight_tag for r in unit.history]
+        assert frob(c - apply_sylvester(op, rep.x / scale)) / frob(c) <= cfg.tol
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e160, 1e200])
+    @pytest.mark.parametrize("strat", ["identity", "mean"])
+    def test_diagonal_operator(self, scale, strat):
+        op = SylvesterOperator(np.diag(np.arange(1.0, 7.0)), np.zeros((2, 2)))
+        cfg = SolverConfig(m=4, strategy=WeightStrategy(strat))
+        self._check(op, np.ones((6, 2)), scale, cfg)
+
+    @staticmethod
+    def _fdm_operator():
+        return SylvesterOperator(fdm_matrix(FdmSpec(8, 1.0, 2.0, 0.5)),
+                                 fdm_matrix(FdmSpec(2, 0.3, 0.1, 0.0)))
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-120, 1e105, 1e200])
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("strat", STRATEGY_KINDS)
+    def test_fdm_operator_every_strategy(self, scale, k, strat):
+        ws = WeightStrategy(strat, seed=1 if strat == "random" else None)
+        cfg = SolverConfig(m=8, k=k, strategy=ws)
+        self._check(self._fdm_operator(), gen_rhs(64, 4, 3, density=0.5), scale, cfg)
+
+    def test_weighted_norm_below_the_float_range_raises(self):
+        # the mean weight scales with the residual, so ||R||_D grows like
+        # |C|^1.5 and underflows to 0 here although R is not zero
+        with pytest.raises(ValueError, match="finite positive"):
+            wglgmres_dr(self._fdm_operator(), 1e-250 * gen_rhs(64, 4, 3, density=0.5),
+                        SolverConfig(m=8, strategy=WeightStrategy("mean")))
 
 
 class TestBasisWorkspaces:

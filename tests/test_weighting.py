@@ -115,6 +115,17 @@ class TestFlooringAndDegeneracy:
         w = make_weight(WeightStrategy("max-col"), residual=r)
         assert w.data is None and w.tag == "identity[degenerate:max-col]"
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160, 1e200])
+    @pytest.mark.parametrize("kind", ["max-col", "min-col", "hadamard"])
+    def test_normalized_weights_do_not_depend_on_scale(self, kind, scale, rng):
+        # the column norms' squares would under- or overflow at these scales
+        r = rng.standard_normal((8, 3))
+        r[:, 1] *= 4.0
+        unit = make_weight(WeightStrategy(kind), residual=r, rhs=r)
+        w = make_weight(WeightStrategy(kind), residual=scale * r, rhs=scale * r)
+        assert w.tag == unit.tag == kind
+        assert np.allclose(w.data, unit.data, rtol=1e-14, atol=0.0)
+
     def test_hadamard_zero_rhs(self):
         w = make_weight(WeightStrategy("hadamard"), rhs=np.zeros((3, 2)))
         assert w.data is None and w.tag == "identity[degenerate:hadamard]"

@@ -33,17 +33,17 @@ across a weight change is orthonormal in the mixed sense (prefix blocks in
 the weight of their construction, new blocks and all cross terms in the new
 weight).  The coefficients on such a prefix go through its Gram matrix.
 
-The basis is built in an (m+1, n, s) workspace the caller may supply; the
-solver alternates two per solve and extends every cycle from a prefix in the
-leading slots: r / beta after a plain restart, the recycled blocks after a
-deflated one.  The returned basis is a read-only view of the workspace,
-which itself stays writable.
+arnoldi_extend grows the basis in place in a caller's C-ordered (m+1, n, s)
+workspace whose leading blocks are the prefix: the solver alternates two per
+solve and writes r / beta (plain restart) or the recycled blocks (deflated
+restart) at the front of one.  The returned basis is a read-only view of the
+workspace, which itself stays writable.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -69,15 +69,14 @@ BREAKDOWN_TOL = 1e-14
 class ArnoldiDecomposition:
     """Block basis V_1..V_{j+1} with its (j+1) x j recurrence matrix.
 
-    ``basis`` is a (j+1, n, s) array (or, for a hand-built prefix, a list of
-    (n, s) blocks); ``basis[i]`` is block i.  ``breakdown`` is the 1-based
-    step at which the subdiagonal coefficient vanished, if it did; the basis
-    then has one block fewer than usual and the last row of ``h`` is
-    (numerically) zero.
+    ``basis`` is a (j+1, n, s) array; ``basis[i]`` is block i.
+    ``breakdown`` is the 1-based step at which the subdiagonal coefficient
+    vanished, if it did; the basis then has one block fewer than usual and
+    the last row of ``h`` is (numerically) zero.
     """
 
-    basis: np.ndarray | list = field(default_factory=list)
-    h: np.ndarray = field(default_factory=lambda: np.zeros((1, 0)))
+    basis: np.ndarray
+    h: np.ndarray
     breakdown: int | None = None
 
 
@@ -167,15 +166,14 @@ def _fused_step(flat, p, h, d, work, prefix_solve, prefix_count, floor):
     return nu2
 
 
-def arnoldi_run(op, v, weight, m, out=None, spare=None):
+def arnoldi_run(op, v, weight, m):
     """Run m weighted global Arnoldi steps from the start block ``v``.
 
     The start block is normalized to V_1 = v / ||v||; each step applies the
     operator, orthogonalizes against all previous blocks and normalizes the
     remainder, so that op(V_j) = sum_{i<=j+1} h[i,j] V_i holds column by
     column.  Happy breakdown truncates the decomposition (see
-    :class:`ArnoldiDecomposition`).  ``out`` and ``spare`` are workspaces as
-    in :func:`arnoldi_extend`.
+    :class:`ArnoldiDecomposition`).
     """
     if m < 1:
         raise ValueError("step count m must be >= 1")
@@ -185,63 +183,49 @@ def arnoldi_run(op, v, weight, m, out=None, spare=None):
     beta = weighted_norm(v, weight)
     if beta == 0.0:
         raise ValueError("start block must be nonzero")
-    basis = np.empty((m + 1,) + v.shape) if out is None else out
+    basis = np.empty((m + 1,) + v.shape)
     np.divide(v, beta, out=basis[0])
-    seed = ArnoldiDecomposition(basis[:1], np.zeros((1, 0)))
-    return arnoldi_extend(seed, op, weight, m, basis, spare)
+    return arnoldi_extend(basis, np.zeros((1, 0)), op, weight)
 
 
-def arnoldi_extend(dec, op, weight, to_m, out=None, spare=None):
-    """Continue the Arnoldi recurrence from an existing prefix.
+def arnoldi_extend(basis, h_prefix, op, weight, spare=None):
+    """Continue the Arnoldi recurrence from the prefix at the front of ``basis``.
 
-    ``dec`` holds ``from_j`` blocks and their ``from_j x (from_j - 1)``
-    recurrence matrix, which is embedded unchanged in the result.  Columns
-    ``from_j`` .. ``to_m`` are then produced by the standard loop under
-    ``weight``; from a single block this reproduces :func:`arnoldi_run`.
-    The input decomposition is not modified.
-
-    The basis is built in ``out`` (a C-ordered float64 (to_m + 1, n, s)
-    array, or a new one when None).  A prefix that is exactly
-    ``out[:from_j]`` is used in place; one that shares no memory with
-    ``out`` is copied there; any other overlap raises ValueError.
-    ``spare``, if given, is a C-ordered float64 ndarray of at least ``from_j``
-    dead blocks of the basis's block shape that shares no memory with
-    ``out`` (ValueError otherwise); the weighted copy of the prefix for its
-    Gram matrix goes there.
+    ``basis`` is a C-ordered float64 (to_m + 1, n, s) workspace whose leading
+    ``from_j = len(h_prefix)`` blocks are the prefix, with its recurrence
+    matrix ``h_prefix`` (from_j x (from_j - 1)); the result embeds both
+    unchanged.  Columns ``from_j`` .. ``to_m`` are produced by the standard
+    loop under ``weight`` in the remaining blocks; from a single block this
+    reproduces :func:`arnoldi_run`.  ``spare``, if given, is a C-ordered
+    float64 ndarray of at least ``from_j`` dead blocks of the basis's block
+    shape that shares no memory with ``basis`` (ValueError otherwise); the
+    weighted copy of the prefix for its Gram matrix goes there.
     """
-    from_j = len(dec.basis)
-    if dec.h.shape != (from_j, from_j - 1):
+    if basis.ndim != 3 or basis.dtype != np.float64 or not basis.flags.c_contiguous:
+        raise ValueError("basis workspace must be a C-ordered float64 (m + 1, n, s) array")
+    from_j, to_m = len(h_prefix), len(basis) - 1
+    if not 1 <= from_j <= to_m:
+        raise ValueError(f"cannot extend from {from_j} blocks to {to_m} steps")
+    if h_prefix.shape != (from_j, from_j - 1):
         raise ValueError(
-            f"prefix recurrence matrix has shape {dec.h.shape}, "
+            f"prefix recurrence matrix has shape {h_prefix.shape}, "
             f"expected {(from_j, from_j - 1)}"
         )
-    if to_m < from_j:
-        raise ValueError(f"cannot extend from {from_j} blocks to {to_m} steps")
-
-    prefix = np.asarray(dec.basis, dtype=np.float64)
-    shape = (to_m + 1,) + prefix.shape[1:]
-    basis = np.empty(shape) if out is None else out
-    if basis.shape != shape or basis.dtype != np.float64 or not basis.flags.c_contiguous:
-        raise ValueError(f"basis workspace must be a C-ordered float64 {shape} array")
-    if not np.may_share_memory(prefix, basis):
-        basis[:from_j] = prefix
-    elif prefix.ctypes.data != basis.ctypes.data or prefix.strides != basis.strides:
-        raise ValueError("prefix overlaps the basis workspace but is not its leading blocks")
     if spare is not None and (
             spare.dtype != np.float64 or not spare.flags.c_contiguous
-            or spare.shape[1:] != shape[1:] or len(spare) < from_j
+            or spare.shape[1:] != basis.shape[1:] or len(spare) < from_j
             or np.may_share_memory(spare, basis)):
         raise ValueError(f"spare workspace must be a C-ordered float64 array of at least "
-                         f"{from_j} blocks of shape {shape[1:]} apart from the basis")
+                         f"{from_j} blocks of shape {basis.shape[1:]} apart from the basis")
     flat = basis.reshape(to_m + 1, -1)
     d = None if weight.data is None else weight.data.reshape(-1)
     work = np.empty((2, flat.shape[1]))
     size = from_j
     h = np.zeros((to_m + 1, to_m))
-    h[: from_j, : from_j - 1] = dec.h
-    hmax = float(np.abs(dec.h).max()) if dec.h.size else 0.0
+    h[: from_j, : from_j - 1] = h_prefix
+    hmax = float(np.abs(h_prefix).max()) if h_prefix.size else 0.0
     breakdown = None
-    prefix_solve, prefix_count = _prefix_projector(prefix, weight, spare)
+    prefix_solve, prefix_count = _prefix_projector(basis[:from_j], weight, spare)
 
     for col in range(from_j - 1, to_m):
         # block col is pending from the second step on: size == col + 1

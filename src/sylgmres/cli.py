@@ -20,6 +20,7 @@ import argparse
 import csv
 import json
 import sys
+import typing
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -265,6 +266,24 @@ def _add_common_flags(p):
     p.add_argument("--out", help="output directory")
 
 
+_JSON_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", type(None): "null"}
+
+
+def _check_config_value(name, value):
+    """Raise UsageError unless the JSON ``value`` has the type of the
+    ExperimentConfig field ``name``: a bool is no number, an int is a float,
+    and null fits only a ``| None`` field."""
+    hint = typing.get_type_hints(ExperimentConfig)[name]
+    types = typing.get_args(hint) or (hint,)
+    if isinstance(value, bool):
+        ok = bool in types
+    else:
+        ok = isinstance(value, types) or (float in types and isinstance(value, int))
+    if not ok:
+        expected = " or ".join(_JSON_TYPE_NAMES[t] for t in types)
+        raise UsageError(f"config key {name!r} must be {expected}, got {json.dumps(value)}")
+
+
 def _config_from_args(args):
     values = {}
     if args.config:
@@ -279,6 +298,8 @@ def _config_from_args(args):
         unknown = set(loaded) - fields
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        for name, value in loaded.items():
+            _check_config_value(name, value)
         values.update(loaded)
     for name in ExperimentConfig.__dataclass_fields__:
         flag = getattr(args, name, None)

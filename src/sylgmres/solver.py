@@ -318,9 +318,9 @@ def wglgmres_dr(op, c, cfg, x0=None):
                                [] if cfg.record_cycles else None)
         raise ValueError("zero right-hand side with a nonzero initial residual")
 
-    # a cycle builds its basis in ``out`` from the prefix in its leading slots:
-    # r / beta alone after a plain restart, the recycled blocks a deflated
-    # restart wrote into ``spare`` otherwise; the two workspaces then swap
+    # a cycle grows its basis in ``out`` from the prefix in its leading blocks,
+    # r / beta after a plain restart or the recycled blocks a deflated restart
+    # wrote into ``spare`` (the last basis); then the two workspaces swap
     out, spare = np.empty((2, cfg.m + 1) + op.shape)
     history = []
     events = []
@@ -336,6 +336,10 @@ def wglgmres_dr(op, c, cfg, x0=None):
             weight = make_weight(cfg.strategy, residual=r, rhs=c)
             norm_c_d = weighted_norm(c, weight)
             beta = weighted_norm(r, weight)
+            if 0.0 < norm_c_d < np.finfo(float).tiny:  # subnormal: its digits are lost
+                raise ValueError(f"cycle {cycle}: ||C||_D is {norm_c_d:.3g} under the "
+                                 f"{weight.tag} weight, below the normal float range "
+                                 f"(||C||_F is {norm_c_f:.3g}); rescale C")
         if not np.isfinite(beta) or (beta == 0.0 and r.any()):  # NaN, over- or underflow
             raise ValueError(f"cycle {cycle}: the weighted residual norm is {beta}, "
                              "not a finite positive float")
@@ -346,10 +350,9 @@ def wglgmres_dr(op, c, cfg, x0=None):
         if prefix is None:
             # a plain restart is the one-block prefix r / beta
             np.divide(r, beta, out=out[0])
-            prefix = (out[:1], np.zeros((1, 0)), np.array([beta]))
-        blocks, h_prefix, c_prefix = prefix
-        dec = arnoldi_extend(ArnoldiDecomposition(blocks, h_prefix), op, weight, cfg.m,
-                             out, spare)
+            prefix = (np.zeros((1, 0)), np.array([beta]))
+        h_prefix, c_prefix = prefix
+        dec = arnoldi_extend(out, h_prefix, op, weight, spare)
         # the carried residual lies in the span of the prefix, so its
         # representation in the extended basis is c_prefix exactly and has no
         # components along the freshly generated blocks
@@ -365,7 +368,7 @@ def wglgmres_dr(op, c, cfg, x0=None):
         ncols = dec.h.shape[1]
         x += basis_combine(dec.basis[:ncols], sol.y)
         if traces is not None:
-            traces.append(CycleTrace(cycle, weight, prev_weight, len(blocks),
+            traces.append(CycleTrace(cycle, weight, prev_weight, len(h_prefix),
                                      replace(dec, basis=dec.basis.copy()), cvec, sol.y, beta))
         r = c - op.apply(x)
         beta = weighted_norm(r, weight)  # the next cycle's, unless the weight changes
@@ -386,8 +389,8 @@ def wglgmres_dr(op, c, cfg, x0=None):
         if cfg.k > 0 and dec.breakdown is None and not sol.degenerate:
             try:
                 g_real = select_and_realify(harmonic_pairs(dec.h), cfg.k)
-                blocks, new_h, q = restart_subspace(dec, g_real, sol.residual, spare)
-                prefix = (blocks, new_h, q.T @ sol.residual)
+                _, new_h, q = restart_subspace(dec, g_real, sol.residual, spare)
+                prefix = (new_h, q.T @ sol.residual)
             except (DeflationError, SingularMatrixError, EigenConvergenceError) as exc:
                 events.append(f"cycle {cycle}: deflation skipped ({exc})")
         prev_weight = weight

@@ -8,7 +8,6 @@ import scipy.linalg
 
 from sylgmres import SylvesterOperator, WeightStrategy
 from sylgmres.arnoldi import (
-    ArnoldiDecomposition,
     _fused_step,
     _norm,
     _prefix_projector,
@@ -33,6 +32,14 @@ def relation_residual(op, dec, first=0):
         rhs = sum(dec.h[i, j] * dec.basis[i] for i in range(len(dec.basis)))
         worst = max(worst, frob(lhs - rhs) / frob(dec.basis[j]))
     return worst
+
+
+def extend_copy(blocks, h_prefix, op, weight, to_m):
+    """arnoldi_extend from ``blocks`` copied to the front of a new
+    (to_m + 1)-block workspace, as the solver places its prefix."""
+    basis = np.empty((to_m + 1,) + blocks.shape[1:])
+    basis[:len(blocks)] = blocks
+    return arnoldi_extend(basis, h_prefix, op, weight)
 
 
 def make_weight_for(kind, rng, r, c):
@@ -114,10 +121,9 @@ class TestArnoldiExtend:
         v = random_block(rng, 7, 2)
         w = Weight.identity()
         full = arnoldi_run(op, v, w, 5)
-        beta = weighted_norm(v, w)
-        seed = ArnoldiDecomposition([v / beta], np.zeros((1, 0)))
-        seed.basis[0].flags.writeable = False
-        ext = arnoldi_extend(seed, op, w, 5)
+        basis = np.empty((6,) + v.shape)
+        np.divide(v, weighted_norm(v, w), out=basis[0])
+        ext = arnoldi_extend(basis, np.zeros((1, 0)), op, w)
         assert np.array_equal(full.h, ext.h)
         for a, b in zip(full.basis, ext.basis):
             assert np.array_equal(a, b)
@@ -135,10 +141,7 @@ class TestArnoldiExtend:
         g_real = select_and_realify(harmonic_pairs(dec.h), k)
         blocks, new_h, q = restart_subspace(dec, g_real, sol.residual)
         w_new = weight_new if weight_new is not None else w_old
-        seed = ArnoldiDecomposition(blocks, new_h)
-        for b in seed.basis:
-            b.flags.writeable = False
-        ext = arnoldi_extend(seed, op, w_new, m)
+        ext = extend_copy(blocks, new_h, op, w_new, m)
         return op, ext, w_old, w_new, len(blocks)
 
     def test_same_weight_restart_full_gram(self, rng):
@@ -169,10 +172,14 @@ class TestArnoldiExtend:
     def test_prefix_shape_validation(self, rng):
         op = random_operator(rng, 5, 2)
         dec = arnoldi_run(op, random_block(rng, 5, 2), Weight.identity(), 3)
-        with pytest.raises(ValueError):
-            arnoldi_extend(ArnoldiDecomposition(dec.basis, dec.h[:, :2]), op, Weight.identity(), 5)
-        with pytest.raises(ValueError):
-            arnoldi_extend(dec, op, Weight.identity(), 3)
+        basis = np.empty((6, 5, 2))
+        basis[:4] = dec.basis
+        with pytest.raises(ValueError, match="shape"):
+            arnoldi_extend(basis, dec.h[:, :2], op, Weight.identity())
+        # four prefix blocks fill a four-block workspace: no step is left
+        for h_prefix, ws in ((dec.h, basis[:4]), (np.zeros((0, 0)), basis)):
+            with pytest.raises(ValueError, match="cannot extend"):
+                arnoldi_extend(ws, h_prefix, op, Weight.identity())
 
 
 class TestWorkspaces:
@@ -186,7 +193,8 @@ class TestWorkspaces:
         w = Weight.diagonal(rng.uniform(0.5, 2.0, self.N), self.S)
         out, spare = np.empty((2, self.M + 1, self.N, self.S))
         fresh = arnoldi_run(op, v, w, self.M)
-        placed = arnoldi_run(op, v, w, self.M, out, spare)
+        np.divide(v, weighted_norm(v, w), out=out[0])
+        placed = arnoldi_extend(out, np.zeros((1, 0)), op, w, spare)
         assert np.array_equal(fresh.h, placed.h)
         assert np.array_equal(fresh.basis, placed.basis)
         assert np.shares_memory(placed.basis, out)
@@ -204,65 +212,50 @@ class TestWorkspaces:
         w_old = Weight.diagonal(rng.uniform(0.5, 2.0, self.N), self.S)
         w_new = Weight(rng.uniform(0.1, 5.0, (self.N, self.S)))
         first, second = np.empty((2, self.M + 1, self.N, self.S))
-        dec = arnoldi_run(op, v, w_old, self.M, first, second)
         c = np.zeros(self.M + 1)
         c[0] = weighted_norm(v, w_old)
+        np.divide(v, c[0], out=first[0])
+        dec = arnoldi_extend(first, np.zeros((1, 0)), op, w_old, second)
         sol = hessenberg_lsq(dec.h, c)
         g_real = select_and_realify(harmonic_pairs(dec.h), self.K)
         blocks, new_h, _ = restart_subspace(dec, g_real, sol.residual)
         placed, placed_h, _ = restart_subspace(dec, g_real, sol.residual, second)
         assert np.array_equal(blocks, placed) and np.array_equal(new_h, placed_h)
         assert np.shares_memory(placed, second) and not np.shares_memory(blocks, second)
-        fresh = arnoldi_extend(ArnoldiDecomposition(blocks, new_h), op, w_new, self.M)
+        fresh = extend_copy(blocks, new_h, op, w_new, self.M)
         # the old basis in ``first`` is dead now and takes the weighted prefix
-        ext = arnoldi_extend(ArnoldiDecomposition(placed, placed_h), op, w_new, self.M, second,
-                             first)
+        ext = arnoldi_extend(second, placed_h, op, w_new, first)
         assert np.array_equal(fresh.h, ext.h)
         assert np.array_equal(fresh.basis, ext.basis)
         assert np.shares_memory(ext.basis, second)
         assert not fresh.basis.flags.writeable and not ext.basis.flags.writeable
 
-    def test_prefix_only_in_place_at_the_front(self, rng):
-        op = random_operator(rng, self.N, self.S)
-        blocks, new_h = _deflated_prefix(rng, op, self.M, self.K)
-        w = Weight(rng.uniform(0.1, 5.0, (self.N, self.S)))
-        fresh = arnoldi_extend(ArnoldiDecomposition(blocks, new_h), op, w, self.M)
-        # a disjoint prefix is copied into the workspace
-        out = np.empty((self.M + 1, self.N, self.S))
-        copied = arnoldi_extend(ArnoldiDecomposition(blocks, new_h), op, w, self.M, out)
-        assert np.array_equal(copied.basis, fresh.basis) and np.array_equal(copied.h, fresh.h)
-        # a prefix inside the workspace but not at its front is rejected
-        p = len(blocks)
-        for shifted in (out[1:p + 1], out[::2][:p]):
-            shifted[...] = blocks
-            with pytest.raises(ValueError, match="leading blocks"):
-                arnoldi_extend(ArnoldiDecomposition(shifted, new_h), op, w, self.M, out)
-
     def test_spare_validated(self, rng):
         op = random_operator(rng, self.N, self.S)
         blocks, new_h = _deflated_prefix(rng, op, self.M, self.K)
         w = Weight(rng.uniform(0.1, 5.0, (self.N, self.S)))
-        fresh = arnoldi_extend(ArnoldiDecomposition(blocks, new_h), op, w, self.M)
+        fresh = extend_copy(blocks, new_h, op, w, self.M)
         p = len(blocks)
         out, spare = np.empty((2, self.M + 1, self.N, self.S))
         out[:p] = blocks
-        seed = ArnoldiDecomposition(out[:p], new_h)
         # ``spare is out`` would write the weighted prefix over the prefix
         for bad in (out, out[p:], spare.astype(np.float32), np.asfortranarray(spare),
                     spare[:p - 1], np.empty((self.M + 1, self.N, self.S + 1))):
             with pytest.raises(ValueError, match="spare"):
-                arnoldi_extend(seed, op, w, self.M, out, bad)
-        ext = arnoldi_extend(seed, op, w, self.M, out, spare[:p])
+                arnoldi_extend(out, new_h, op, w, bad)
+        ext = arnoldi_extend(out, new_h, op, w, spare[:p])
         assert np.array_equal(ext.h, fresh.h) and np.array_equal(ext.basis, fresh.basis)
 
     def test_workspace_shape_checked(self, rng):
         op = random_operator(rng, self.N, self.S)
         v = random_block(rng, self.N, self.S)
-        for out in (np.empty((self.M, self.N, self.S)),
+        for out in (np.empty((self.M + 1, self.N * self.S)),
                     np.empty((self.M + 1, self.N, self.S), order="F"),
+                    np.empty((2 * self.M + 2, self.N, self.S))[::2],
                     np.empty((self.M + 1, self.N, self.S), dtype=np.float32)):
+            out[0] = v.reshape(out[0].shape)
             with pytest.raises(ValueError, match="workspace"):
-                arnoldi_run(op, v, Weight.identity(), self.M, out)
+                arnoldi_extend(out, np.zeros((1, 0)), op, Weight.identity())
 
 
 def test_norm_of_nan_is_nan():
@@ -353,13 +346,13 @@ def _deflated_prefix(rng, op, m, k):
     return blocks, new_h
 
 
-def mgs_extend(dec, op, weight, to_m):
+def mgs_extend(blocks, h_prefix, op, weight, to_m):
     """Reference: the Arnoldi loop on ``mgs_orthogonalize``, with a prefix
     projection solved by ``np.linalg.solve`` on the prefix Gram matrix."""
-    basis = [np.array(b) for b in dec.basis]
+    basis = [np.array(b) for b in blocks]
     from_j = len(basis)
     h = np.zeros((to_m + 1, to_m))
-    h[:from_j, : from_j - 1] = dec.h
+    h[:from_j, : from_j - 1] = h_prefix
     gram = diamond_product(basis, basis, weight)
     prefix_solve, prefix_count = None, 0
     if np.abs(gram - np.eye(from_j)).max() > 1e-12:
@@ -381,22 +374,21 @@ class TestExtendReference:
     @staticmethod
     def _seeds(rng, op):
         v = random_block(rng, op.n, op.s)
-        fresh = ArnoldiDecomposition([v / frob(v)], np.zeros((1, 0)))
-        mixed = ArnoldiDecomposition(*_deflated_prefix(rng, op, 6, 2))
+        fresh = ((v / frob(v))[None], np.zeros((1, 0)))
+        mixed = _deflated_prefix(rng, op, 6, 2)
         return {"fresh": fresh, "mixed": mixed}
 
     @pytest.mark.parametrize("path", ["fresh", "mixed"])
     @pytest.mark.parametrize("kind", ["identity", "diagonal", "elementwise"])
     def test_matches_mgs_loop(self, path, kind, rng):
         op = random_operator(rng, 12, 3)
-        seed = self._seeds(rng, op)[path]
+        blocks, h_prefix = self._seeds(rng, op)[path]
         weight = _weights_for(rng, 12, 3)[kind]
-        p = len(seed.basis)
         if path == "mixed":
             # the new weight leaves the prefix non-orthonormal: the oblique path runs
-            assert _prefix_projector(np.asarray(seed.basis), weight)[1] == p
-        ext = arnoldi_extend(seed, op, weight, 6)
-        basis_ref, h_ref = mgs_extend(seed, op, weight, 6)
+            assert _prefix_projector(blocks, weight)[1] == len(blocks)
+        ext = extend_copy(blocks, h_prefix, op, weight, 6)
+        basis_ref, h_ref = mgs_extend(blocks, h_prefix, op, weight, 6)
         assert ext.breakdown is None
         assert np.abs(ext.h - h_ref).max() <= _ORTH_RTOL * np.abs(h_ref).max()
         assert frob(np.asarray(ext.basis) - basis_ref) <= _ORTH_RTOL * frob(basis_ref)
@@ -405,13 +397,14 @@ class TestExtendReference:
     @pytest.mark.parametrize("kind", ["identity", "diagonal", "elementwise"])
     def test_prefix_returned_bitwise(self, path, kind, rng):
         op = random_operator(rng, 12, 3)
-        seed = self._seeds(rng, op)[path]
-        prefix = [np.array(b) for b in seed.basis]
+        blocks, h_prefix = self._seeds(rng, op)[path]
+        p = len(blocks)
+        kept_h = h_prefix.copy()
         weight = _weights_for(rng, 12, 3)[kind]
-        ext = arnoldi_extend(seed, op, weight, 6)
-        for got, given, kept in zip(ext.basis, prefix, seed.basis):
-            assert np.array_equal(got, given)
-            assert np.array_equal(kept, given)  # the input is not modified
+        ext = extend_copy(blocks, h_prefix, op, weight, 6)
+        # the prefix blocks at the front of the workspace and h_prefix are not modified
+        assert np.array_equal(ext.basis[:p], blocks)
+        assert np.array_equal(h_prefix, kept_h) and np.array_equal(ext.h[:p, :p - 1], kept_h)
 
 
 class TestClusteredSpectrum:
@@ -468,7 +461,7 @@ class TestClusteredSpectrum:
         weight = self._weights(rng)[kind]
         p = len(blocks)
         assert _prefix_projector(np.asarray(blocks), weight)[1] == p
-        ext = arnoldi_extend(ArnoldiDecomposition(blocks, new_h), op, weight, self.M)
+        ext = extend_copy(blocks, new_h, op, weight, self.M)
         assert ext.breakdown is None
         fresh = ext.basis[p:]
         g_new = diamond_product(fresh, fresh, weight)
@@ -542,8 +535,7 @@ class TestPrefixProjector:
         b = rng.standard_normal(2)
         assert np.array_equal(solve(b), np.linalg.lstsq(gram, b, rcond=None)[0])
 
-        seed = ArnoldiDecomposition([v, v], np.zeros((2, 1)))
-        ext = arnoldi_extend(seed, op, weight, 6)
+        ext = extend_copy(prefix, np.zeros((2, 1)), op, weight, 6)
         assert ext.breakdown is None
         assert len(ext.basis) == 7
         assert np.isfinite(ext.h).all()

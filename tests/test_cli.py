@@ -213,6 +213,27 @@ class TestMainEntry:
         code = main(["run", "--config", str(cfg_path)])
         assert code == 1
 
+    @pytest.mark.parametrize("key, value", [
+        ("m", "10"), ("fdm_n0", 2.5), ("maxit", True), ("k", 1.0), ("tol", True),
+        ("density", "0.5"), ("variant", 3), ("matrix_a", 1),
+    ])
+    def test_config_file_wrong_type_exit_one(self, tmp_path, capsys, key, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert f"error: config key {key!r} must be " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_file_int_for_float_and_null_for_optional(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "variant": "glgmres", "strategy": "identity", "m": 4, "tol": 1,
+            "density": None, "matrix_a": None, "fdm_n0": 4, "fdm_s0": 2,
+            "out": str(tmp_path / "out"),
+        }))
+        assert main(["run", "--config", str(cfg_path)]) == 0
+
     def test_compare_subcommand(self, tmp_path, capsys):
         code = main(["compare", "--variants", "glgmres,wglgmres-d",
                      "--strategy", "mean", "--m", "10", "--k", "5",

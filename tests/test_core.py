@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from sylgmres import SylvesterOperator
-from sylgmres.arnoldi import ArnoldiDecomposition, arnoldi_extend
+from sylgmres.arnoldi import arnoldi_extend
 from sylgmres.core import (
     DENSE_B_MAX_S,
     Weight,
@@ -273,7 +273,8 @@ class TestStackedBlocks:
     def test_weight_checks_trailing_dimensions(self, rng):
         op = random_operator(rng, 4, 2)
         stack = np.stack([random_block(rng, 4, 2) for _ in range(3)])
-        seed = ArnoldiDecomposition(stack[:1], np.zeros((1, 0)))
+        basis = np.empty((3, 4, 2))
+        basis[0] = stack[0]
         # the transposed (s, n) weight has the flat size of the blocks
         for weight in (Weight.diagonal(np.ones(3), 2), Weight(np.ones((4, 3))),
                        Weight(np.ones((2, 4)))):
@@ -282,7 +283,7 @@ class TestStackedBlocks:
             with pytest.raises(ValueError, match="weight shape"):
                 diamond_product(stack, stack, weight)
             with pytest.raises(ValueError, match="weight shape"):
-                arnoldi_extend(seed, op, weight, 3)
+                arnoldi_extend(basis, np.zeros((1, 0)), op, weight)
 
     def test_ragged_blocks_rejected(self, rng):
         with pytest.raises(ValueError):

@@ -596,6 +596,14 @@ class TestExtremeScales:
             wglgmres_dr(self._fdm_operator(), 1e-250 * gen_rhs(64, 4, 3, density=0.5),
                         SolverConfig(m=8, strategy=WeightStrategy("mean")))
 
+    @pytest.mark.parametrize("scale", [1e-210, 1e-215])
+    def test_subnormal_weighted_rhs_norm_raises(self, scale):
+        # ||C||_D is a subnormal 3.7e-315 (1.2e-322) here: the solve used to
+        # run to the cycle cap with a true residual of 3.6e-5 (1.0)
+        with pytest.raises(ValueError, match="under the mean weight, below the normal"):
+            wglgmres_dr(self._fdm_operator(), scale * gen_rhs(64, 4, 3, density=0.5),
+                        SolverConfig(m=8, k=2, maxit=300, strategy=WeightStrategy("mean")))
+
 
 class TestBasisWorkspaces:
     """Every solve builds every basis in two alternating workspaces; a recorded

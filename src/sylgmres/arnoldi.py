@@ -52,7 +52,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 # module because solvebench's tracer wraps it under this name.  The step
 # kernel below calls neither diamond_product nor weighted_norm: they run once
 # per extension, for the prefix Gram matrix and the start block.
-from .core import Weight, _weight_entries, as_block, diamond_product
+from .core import Weight, _root, _weight_entries, as_block, diamond_product
 from .core import weighted_inner, weighted_norm  # noqa: F401
 from .dense import _lapack
 
@@ -82,11 +82,11 @@ class ArnoldiDecomposition:
 
 def _norm(v, d):
     """Weighted 2-norm of the flat vector ``v`` under the flat weight ``d``
-    (None for the identity), summed as :func:`core.weighted_norm` sums it."""
-    val = float(np.einsum("i,i->", v, v) if d is None else np.einsum("i,i,i->", d, v, v))
-    # tiny negative values can appear through rounding in the einsum
-    # reduction; only those are clamped, so a NaN stays NaN
-    return 0.0 if val <= 0.0 else math.sqrt(val)
+    (None for the identity), summed and rescaled as :func:`core.weighted_norm`
+    sums and rescales it."""
+    if d is None:
+        return _root(lambda u: float(np.einsum("i,i->", u, u)), v)
+    return _root(lambda u: float(np.einsum("i,i,i->", d, u, u)), v)
 
 
 def _sweep(v, flat, d, work, prefix_solve, prefix_count):

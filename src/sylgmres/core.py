@@ -8,10 +8,9 @@ The diamond product of two block sequences collects all pairwise weighted
 inner products into a small Gram matrix.
 
 Block vectors are plain C-ordered float64 ndarrays.  A sequence of r blocks
-is one C-ordered (r, n, s) array (a list of blocks is stacked into one), so its
-(r, n*s) reshape is a view: the diamond product is one matrix product of two
-such views and a basis combination one matrix-vector (or matrix-matrix)
-product.  Sparse matrices are scipy CSR arrays.
+is one C-ordered (r, n, s) array, so its (r, n*s) reshape is a view: the
+diamond product is one matrix product of two such views and a basis
+combination one vector-matrix product.  Sparse matrices are scipy CSR arrays.
 """
 
 from __future__ import annotations
@@ -198,48 +197,26 @@ def weighted_norm(y, weight):
     return _root(lambda v: weighted_inner(v, v, weight), np.asarray(y))
 
 
-def _stacked(blocks, name):
-    """``blocks`` (a sequence of equally shaped (n, s) blocks or an (r, n, s)
-    array) as one float64 (r, n, s) array; a stacked input is not copied."""
-    try:
-        stack = np.asarray(blocks, dtype=np.float64)
-    except ValueError as exc:  # ragged list of blocks
-        raise ValueError(f"all {name} blocks must share one shape") from exc
-    if stack.ndim != 3 or len(stack) == 0:
-        raise ValueError(f"{name} must be a nonempty sequence of 2-d blocks, "
-                         f"got shape {stack.shape}")
-    return stack
-
-
 def diamond_product(u, v, weight):
-    """Small Gram matrix of two block sequences.
+    """Small Gram matrix of two stacked (r, n, s) block sequences.
 
     Entry (i, j) is the weighted inner product of ``u[i]`` and ``v[j]``,
     computed as one matrix product of the flattened stacks; the weight scales
-    the ``v`` side only.
+    the ``v`` side only.  An empty stack on either side gives an empty Gram.
     """
+    if u.shape[1:] != v.shape[1:]:
+        raise ValueError(f"block shapes differ: {u.shape[1:]} vs {v.shape[1:]}")
+    w = _weight_entries(weight, v.shape)
     if len(u) == 0 or len(v) == 0:
         return np.zeros((len(u), len(v)))
-    u = _stacked(u, "left")
-    v = _stacked(v, "right")
-    if u.shape[1:] != v.shape[1:]:
-        raise ValueError("all blocks must share one shape")
-    w = _weight_entries(weight, v.shape)
     if w is not None:
         v = w * v
     return u.reshape(len(u), -1) @ v.reshape(len(v), -1).T
 
 
-def basis_combine(basis, coeffs):
-    """Linear combination of equally shaped blocks.
-
-    For 1-d ``coeffs`` returns the (n, s) block sum_i coeffs[i] * basis[i];
-    for an (r, q) coefficient matrix returns the stacked (q, n, s) array whose
-    block j is sum_i coeffs[i, j] * basis[i].
-    """
-    basis = _stacked(basis, "basis")
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    if coeffs.ndim not in (1, 2) or coeffs.shape[0] != len(basis):
-        raise ValueError(f"got {coeffs.shape} coefficients for {len(basis)} blocks")
-    out = coeffs.T @ basis.reshape(len(basis), -1)
-    return out.reshape(coeffs.shape[1:] + basis.shape[1:])
+def basis_combine(basis, y):
+    """The (n, s) block sum_i y[i] * basis[i] of a stacked (r, n, s) basis and
+    a 1-d coefficient vector ``y`` of length r."""
+    if y.shape != (len(basis),):
+        raise ValueError(f"got {y.shape} coefficients for {len(basis)} blocks")
+    return (y @ basis.reshape(len(basis), -1)).reshape(basis.shape[1:])

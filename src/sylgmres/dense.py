@@ -21,11 +21,12 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg.lapack import dgeqrf, dgetrf, dgetrs, dorgqr, dtrtrs
 
+from .core import frob
+
 __all__ = [
     "SingularMatrixError",
     "EigenConvergenceError",
     "LsqSolution",
-    "QrFactors",
     "EigenPairSet",
     "hessenberg_lsq",
     "reduced_qr",
@@ -77,11 +78,6 @@ class LsqSolution(NamedTuple):
     degenerate: bool
 
 
-class QrFactors(NamedTuple):
-    q: np.ndarray
-    kept: list
-
-
 @dataclass(frozen=True)
 class EigenPairSet:
     """Eigenvalues with right eigenvectors of a real matrix.
@@ -106,7 +102,8 @@ def hessenberg_lsq(h, c):
     Returns the minimizer ``y``, the explicit residual vector ``c - H y``, its
     2-norm ``rho`` and a ``degenerate`` flag.  A triangular diagonal below
     ``PIVOT_TOL * ||H||_F`` marks the system rank deficient; the minimum-norm
-    solution is returned in that case, with ``rho`` recomputed from it.
+    solution is returned in that case, with ``rho`` recomputed from it.  The
+    norms are rescaled as in :func:`core.frob`, so H may have any scale.
     """
     h = np.asarray_chkfinite(h, dtype=np.float64)
     c = np.asarray_chkfinite(c, dtype=np.float64)
@@ -119,7 +116,7 @@ def hessenberg_lsq(h, c):
     q, qr = _qr(h, m + 1)
     g = q.T @ c
     diag = np.abs(np.diagonal(qr))
-    degenerate = bool(m and np.any(diag <= PIVOT_TOL * np.linalg.norm(h)))
+    degenerate = bool(m and np.any(diag <= PIVOT_TOL * frob(h)))
     if degenerate:
         y = np.linalg.lstsq(np.triu(qr[:m]), g[:m], rcond=None)[0]
     elif m:
@@ -131,7 +128,7 @@ def hessenberg_lsq(h, c):
     else:
         y = np.empty(0)
     residual = c - h @ y
-    rho = float(np.linalg.norm(residual)) if degenerate else abs(float(g[m]))
+    rho = frob(residual) if degenerate else abs(float(g[m]))
     return LsqSolution(y, residual, rho, degenerate)
 
 
@@ -142,10 +139,9 @@ def reduced_qr(g):
     orthogonal to the columns before it) falls below ``RANK_TOL`` times the
     largest input column norm is dropped, and the kept columns are factored
     again, so ``q`` may have fewer than k columns and spans exactly the kept
-    ones.  ``kept`` lists the surviving input column indices; ``q`` is
-    normalized to a nonnegative triangular diagonal, so ``q^T g`` is upper
-    triangular up to rounding when nothing is dropped, and ``g ~ q q^T g``
-    either way.
+    ones.  Returns ``q``, normalized to a nonnegative triangular diagonal, so
+    ``q^T g`` is upper triangular up to rounding when nothing is dropped, and
+    ``g ~ q q^T g`` either way.
     """
     g = np.asarray_chkfinite(g, dtype=np.float64)
     if g.ndim != 2:
@@ -154,7 +150,7 @@ def reduced_qr(g):
     if k > m:
         raise ValueError(f"need at least as many rows as columns, got {g.shape}")
     if not g.size:
-        return QrFactors(np.empty((m, 0)), [])
+        return np.empty((m, 0))
     tol = RANK_TOL * np.linalg.norm(g, axis=0).max()
 
     q, qr = _qr(g, k)
@@ -163,8 +159,7 @@ def reduced_qr(g):
         # a dropped column's Householder direction is arbitrary and would
         # leak into the later columns of q
         q, qr = _qr(g[:, kept], len(kept))
-    q = q * np.where(np.diagonal(qr) < 0.0, -1.0, 1.0)
-    return QrFactors(q, kept)
+    return q * np.where(np.diagonal(qr) < 0.0, -1.0, 1.0)
 
 
 def small_eig(mat):
@@ -196,8 +191,8 @@ def small_solve(mat, rhs):
     """Solve mat @ x = rhs by partial-pivoted elimination.
 
     Raises SingularMatrixError when any pivot falls below
-    ``PIVOT_TOL * ||mat||_F``, so callers can fall back to an alternative
-    formulation instead of consuming garbage.
+    ``PIVOT_TOL * ||mat||_F`` (rescaled as in :func:`core.frob`), so callers
+    can fall back to an alternative formulation instead of consuming garbage.
     """
     mat = np.asarray(mat, dtype=np.float64)
     rhs = np.asarray(rhs, dtype=np.float64)
@@ -213,6 +208,6 @@ def small_solve(mat, rhs):
         return np.empty_like(rhs)
     # an exactly zero pivot (info > 0) fails the pivot check
     (lu, piv), _ = _lapack(dgetrf, mat)
-    if not np.all(np.abs(np.diagonal(lu)) > PIVOT_TOL * np.linalg.norm(mat)):
+    if not np.all(np.abs(np.diagonal(lu)) > PIVOT_TOL * frob(mat)):
         raise SingularMatrixError("matrix is singular to working precision")
     return _lapack(dgetrs, lu, piv, rhs)[0][0]

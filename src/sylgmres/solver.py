@@ -23,6 +23,7 @@ Frobenius norm.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -64,6 +65,9 @@ _INV_EIG_TOL = 1e-14
 # The restart residual must keep this fraction of its norm after
 # orthogonalization against the recycled directions to be usable.
 _RESTART_SPAN_TOL = 1e-12
+# Largest ||C||_D a solve accepts, a factor 16 below the largest float: the
+# projected least-squares problem sums products H y of a few times its size.
+_NORM_C_D_MAX = float(np.finfo(np.float64).max) / 16.0
 
 
 class DeflationError(RuntimeError):
@@ -144,7 +148,8 @@ def harmonic_pairs(h):
     ``H_m + h_sub^2 * H_m^{-T} e_m e_m^T`` when H_m is regular; otherwise the
     generalized form ``theta * H_m^T g = (H^T H) g`` is solved through the
     normal-matrix factorization, discarding infinite values.  Pairs come back
-    sorted ascending by magnitude, conjugate pairs adjacent.
+    sorted ascending by magnitude, conjugate pairs adjacent.  An H whose
+    h_sub^2 would under- or overflow is solved at a power-of-two scale.
     """
     h = np.asarray(h, dtype=np.float64)
     if h.ndim != 2 or h.shape[0] != h.shape[1] + 1:
@@ -152,6 +157,12 @@ def harmonic_pairs(h):
     m = h.shape[1]
     hm = h[:m, :]
     hsub = float(h[m, m - 1])
+    if hsub and not np.finfo(float).tiny <= hsub * hsub < np.inf:
+        # the pairs of 2^-e H are those of H with the values times 2^-e,
+        # and both scalings are exact
+        e = math.frexp(hsub)[1]
+        pairs = harmonic_pairs(np.ldexp(h, -e))
+        return EigenPairSet(pairs.values * 2.0**e, pairs.vectors)
     em = np.zeros(m)
     em[m - 1] = 1.0
     try:
@@ -230,8 +241,8 @@ def restart_subspace(dec, g_real, r, out=None):
     Raises DeflationError when the harmonic columns are rank deficient or
     ``r`` already lies in their span.
     """
-    qr = reduced_qr(g_real)
-    kq = qr.q.shape[1]
+    qg = reduced_qr(g_real)
+    kq = qg.shape[1]
     if kq == 0:
         raise DeflationError("harmonic vectors are numerically rank deficient")
     r = np.asarray(r, dtype=np.float64)
@@ -240,7 +251,7 @@ def restart_subspace(dec, g_real, r, out=None):
         raise ValueError(f"residual vector must have length {rows}, got {r.shape}")
 
     q_ext = np.zeros((rows, kq))
-    q_ext[: qr.q.shape[0], :] = qr.q
+    q_ext[: qg.shape[0], :] = qg
     v = r.copy()
     for _ in range(2):
         v -= q_ext @ (q_ext.T @ v)
@@ -249,7 +260,7 @@ def restart_subspace(dec, g_real, r, out=None):
         raise DeflationError("residual direction already lies in the recycled span")
     q = np.column_stack([q_ext, v / nrm])
 
-    new_h = q.T @ dec.h @ qr.q
+    new_h = q.T @ dec.h @ qg
     shape = (kq + 1,) + dec.basis.shape[1:]
     blocks = np.empty(shape) if out is None else out[: kq + 1]
     if blocks.shape != shape or blocks.dtype != np.float64 or not blocks.flags.c_contiguous:
@@ -336,9 +347,13 @@ def wglgmres_dr(op, c, cfg, x0=None):
             weight = make_weight(cfg.strategy, residual=r, rhs=c)
             norm_c_d = weighted_norm(c, weight)
             beta = weighted_norm(r, weight)
-            if 0.0 < norm_c_d < np.finfo(float).tiny:  # subnormal: its digits are lost
+            # a subnormal ||C||_D has lost its digits; one near the largest
+            # float overflows later in the cycle
+            if 0.0 < norm_c_d < np.finfo(float).tiny or norm_c_d > _NORM_C_D_MAX:
+                where = ("below the normal float range" if norm_c_d < 1.0
+                         else f"above {_NORM_C_D_MAX:.3g}, too near overflow")
                 raise ValueError(f"cycle {cycle}: ||C||_D is {norm_c_d:.3g} under the "
-                                 f"{weight.tag} weight, below the normal float range "
+                                 f"{weight.tag} weight, {where} "
                                  f"(||C||_F is {norm_c_f:.3g}); rescale C")
         if not np.isfinite(beta) or (beta == 0.0 and r.any()):  # NaN, over- or underflow
             raise ValueError(f"cycle {cycle}: the weighted residual norm is {beta}, "

@@ -10,8 +10,9 @@ every restart:
 
 ``hadamard`` derives an entrywise weight once from the right-hand side and
 never updates it; ``random`` draws one positive diagonal per solve from a
-seeded generator.  Every produced weight is floored away from zero so the
-inner product stays positive definite even for residuals with exact zeros.
+seeded generator.  Every produced weight is floored at ``FLOOR_REL`` times
+its largest entry, so the inner product stays positive definite even for
+residuals with exact zeros.
 """
 
 from __future__ import annotations
@@ -28,15 +29,16 @@ STRATEGY_KINDS = ("identity", "max-col", "min-col", "mean", "hadamard", "random"
 
 # Entries with absolute value below this are treated as an all-zero residual.
 _ZERO_RESIDUAL = 1e-300
+# Weight entries are floored at this fraction of the largest entry.
+FLOOR_REL = 1e-12
 
 
 @dataclass(frozen=True)
 class WeightStrategy:
-    """Named weighting scheme plus its floor and (for ``random``) its seed."""
+    """Named weighting scheme plus (for ``random``) its seed."""
 
     kind: str = "identity"
     seed: int | None = None
-    floor_rel: float = 1e-12
 
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
@@ -44,8 +46,6 @@ class WeightStrategy:
                 f"unknown weighting strategy {self.kind!r}; "
                 f"choose one of {', '.join(STRATEGY_KINDS)}"
             )
-        if not self.floor_rel > 0.0:  # NaN fails too
-            raise ValueError("floor_rel must be > 0")
         if self.kind == "random" and self.seed is None:
             raise ValueError("the random strategy needs an explicit seed")
 
@@ -55,13 +55,13 @@ class WeightStrategy:
         return self.kind in ("max-col", "min-col", "mean")
 
 
-def _floored(values, shape, floor_rel, tag):
+def _floored(values, shape, tag):
     """The weight on blocks of ``shape`` with entries ``values`` (n x s, or an
-    n x 1 diagonal) floored at ``floor_rel`` times their largest, if positive."""
+    n x 1 diagonal) floored at ``FLOOR_REL`` times their largest, if positive."""
     mx = float(values.max()) if values.size else 0.0
     if mx <= 0.0:
         return Weight.identity(tag=f"identity[degenerate:{tag}]")
-    return Weight(np.broadcast_to(np.maximum(values, floor_rel * mx), shape), tag)
+    return Weight(np.broadcast_to(np.maximum(values, FLOOR_REL * mx), shape), tag)
 
 
 def make_weight(strategy, residual=None, rhs=None):
@@ -83,7 +83,7 @@ def make_weight(strategy, residual=None, rhs=None):
         if nrm == 0.0:
             return Weight.identity(tag="identity[degenerate:hadamard]")
         w = np.sqrt(c.size) * np.abs(c) / nrm
-        return _floored(w, c.shape, strategy.floor_rel, "hadamard")
+        return _floored(w, c.shape, "hadamard")
 
     if residual is None:
         raise ValueError(f"{kind} weighting needs the current residual block")
@@ -93,7 +93,7 @@ def make_weight(strategy, residual=None, rhs=None):
 
     if kind == "random":
         d = np.random.default_rng(strategy.seed).uniform(0.0, 2.0, (r.shape[0], 1))
-        return _floored(d, r.shape, strategy.floor_rel, f"random[{strategy.seed}]")
+        return _floored(d, r.shape, f"random[{strategy.seed}]")
 
     big = float(np.abs(r).max())
     if big < _ZERO_RESIDUAL:
@@ -106,11 +106,11 @@ def make_weight(strategy, residual=None, rhs=None):
         t = int(np.argmax(norms) if kind == "max-col" else np.argmin(norms))
         if norms[t] == 0.0:
             return Weight.identity(tag=f"identity[degenerate:{kind}]")
-        return _floored(np.abs(r[:, t:t + 1]) / norms[t], r.shape, strategy.floor_rel, kind)
+        return _floored(np.abs(r[:, t:t + 1]) / norms[t], r.shape, kind)
 
     # kind == "mean": the row sums column by column, as numpy's mean sums
     # rows of fewer than 8 entries, but without its slow strided reduction
     total = r[:, :1].copy()
     for j in range(1, r.shape[1]):
         total += r[:, j:j + 1]
-    return _floored(np.abs(total / r.shape[1]), r.shape, strategy.floor_rel, "mean")
+    return _floored(np.abs(total / r.shape[1]), r.shape, "mean")

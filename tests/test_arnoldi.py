@@ -62,7 +62,7 @@ class TestArnoldiRun:
         op = random_operator(rng, 8, 2)
         v = random_block(rng, 8, 2)
         dec = arnoldi_run(op, v, Weight.identity(), 5)
-        applied = [apply_sylvester(op, b) for b in dec.basis[:5]]
+        applied = np.stack([apply_sylvester(op, b) for b in dec.basis[:5]])
         expect = diamond_product(dec.basis, applied, Weight.identity())
         assert np.allclose(dec.h, expect, atol=1e-10)
 
@@ -353,7 +353,7 @@ def mgs_extend(blocks, h_prefix, op, weight, to_m):
     from_j = len(basis)
     h = np.zeros((to_m + 1, to_m))
     h[:from_j, : from_j - 1] = h_prefix
-    gram = diamond_product(basis, basis, weight)
+    gram = diamond_product(np.stack(basis), np.stack(basis), weight)
     prefix_solve, prefix_count = None, 0
     if np.abs(gram - np.eye(from_j)).max() > 1e-12:
         prefix_solve, prefix_count = (lambda b: np.linalg.solve(gram, b)), from_j

@@ -197,46 +197,60 @@ class TestDiamondProduct:
         v = random_block(rng, 5, 2)
         w = Weight.diagonal(rng.uniform(0.5, 1.5, 5), 2)
         v = v / weighted_norm(v, w)
-        g = diamond_product([v], [v], w)
+        g = diamond_product(v[None], v[None], w)
         assert g.shape == (1, 1)
         assert g[0, 0] == pytest.approx(1.0, abs=1e-14)
 
     def test_identity_weight_is_frobenius_gram(self, rng):
-        u = [random_block(rng, 4, 2) for _ in range(3)]
-        v = [random_block(rng, 4, 2) for _ in range(2)]
+        u = np.stack([random_block(rng, 4, 2) for _ in range(3)])
+        v = np.stack([random_block(rng, 4, 2) for _ in range(2)])
         g = diamond_product(u, v, Weight.identity())
         expect = np.array([[np.trace(vj.T @ ui) for vj in v] for ui in u])
         assert np.allclose(g, expect, rtol=1e-13)
 
     def test_weight_moves_onto_second_factor(self, rng):
         n, s = 5, 2
-        u = [random_block(rng, n, s) for _ in range(3)]
-        v = [random_block(rng, n, s) for _ in range(3)]
+        u = np.stack([random_block(rng, n, s) for _ in range(3)])
+        v = np.stack([random_block(rng, n, s) for _ in range(3)])
         d = rng.uniform(0.3, 2.0, n)
         got = diamond_product(u, v, Weight.diagonal(d, s))
-        scaled = [d[:, None] * b for b in v]
-        expect = diamond_product(u, scaled, Weight.identity())
+        expect = diamond_product(u, d[:, None] * v, Weight.identity())
         assert np.allclose(got, expect, rtol=1e-12)
 
     def test_shape_mismatch(self, rng):
         with pytest.raises(ValueError):
-            diamond_product([random_block(rng, 3, 2)], [random_block(rng, 4, 2)],
+            diamond_product(random_block(rng, 3, 2)[None], random_block(rng, 4, 2)[None],
                             Weight.identity())
+
+    @pytest.mark.parametrize("kind", ["identity", "diagonal", "elementwise"])
+    def test_empty_stack_gives_empty_gram(self, kind, rng):
+        # a cycle that breaks down at its first step after a deflated restart
+        # has no fresh blocks: its Gram against the prefix is empty
+        n, s = 4, 3
+        weight = {"identity": Weight.identity(),
+                  "diagonal": Weight.diagonal(rng.uniform(0.2, 3.0, n), s),
+                  "elementwise": Weight(rng.uniform(0.2, 3.0, (n, s)))}[kind]
+        stack = np.stack([random_block(rng, n, s) for _ in range(2)])
+        empty = np.empty((0, n, s))
+        for u, v, shape in ((empty, stack, (0, 2)), (stack, empty, (2, 0)),
+                            (empty, empty, (0, 0))):
+            g = diamond_product(u, v, weight)
+            assert g.shape == shape and g.dtype == np.float64
 
 
 class TestBasisCombine:
     def test_selector(self, rng):
-        basis = [random_block(rng, 4, 2) for _ in range(3)]
+        basis = np.stack([random_block(rng, 4, 2) for _ in range(3)])
         e1 = np.array([1.0, 0.0, 0.0])
         assert np.array_equal(basis_combine(basis, e1), basis[0])
 
     def test_zero_coeffs(self, rng):
-        basis = [random_block(rng, 4, 2) for _ in range(3)]
+        basis = np.stack([random_block(rng, 4, 2) for _ in range(3)])
         assert np.array_equal(basis_combine(basis, np.zeros(3)), np.zeros((4, 2)))
 
     def test_matches_kronecker_assembly(self, rng):
         n, s, m = 5, 2, 4
-        basis = [random_block(rng, n, s) for _ in range(m)]
+        basis = np.stack([random_block(rng, n, s) for _ in range(m)])
         y = rng.standard_normal(m)
         stacked = np.hstack(basis)  # n x (m s)
         expect = stacked @ np.kron(y[:, None], np.eye(s))
@@ -244,22 +258,18 @@ class TestBasisCombine:
         assert np.allclose(got, expect, rtol=1e-13)
 
     def test_length_mismatch(self, rng):
-        with pytest.raises(ValueError):
-            basis_combine([random_block(rng, 3, 2)], np.ones(2))
-
-    def test_coefficient_matrix_gives_stacked_combinations(self, rng):
-        basis = np.stack([random_block(rng, 5, 2) for _ in range(4)])
-        q = rng.standard_normal((4, 3))
-        got = basis_combine(basis, q)
-        assert got.shape == (3, 5, 2)
-        for j in range(3):
-            expect = sum(q[i, j] * basis[i] for i in range(4))
-            assert np.allclose(got[j], expect, rtol=1e-13, atol=1e-14)
+        basis = random_block(rng, 3, 2)[None]
+        # a coefficient matrix is rejected too: the coefficients are one vector
+        for y in (np.ones(2), np.ones((1, 2))):
+            with pytest.raises(ValueError):
+                basis_combine(basis, y)
 
 
 class TestStackedBlocks:
     @pytest.mark.parametrize("kind", ["identity", "diagonal", "elementwise"])
     def test_stack_and_list_agree_with_pairwise_inner(self, kind, rng):
+        # the Gram of two stacks against the pairwise inner products of
+        # their blocks taken one by one
         n, s = 6, 3
         weight = {"identity": Weight.identity(),
                   "diagonal": Weight.diagonal(rng.uniform(0.2, 3.0, n), s),
@@ -267,7 +277,6 @@ class TestStackedBlocks:
         u = [random_block(rng, n, s) for _ in range(3)]
         v = [random_block(rng, n, s) for _ in range(2)]
         expect = np.array([[weighted_inner(ui, vj, weight) for vj in v] for ui in u])
-        assert np.allclose(diamond_product(u, v, weight), expect, rtol=1e-13)
         assert np.allclose(diamond_product(np.stack(u), np.stack(v), weight), expect, rtol=1e-13)
 
     def test_weight_checks_trailing_dimensions(self, rng):
@@ -284,10 +293,6 @@ class TestStackedBlocks:
                 diamond_product(stack, stack, weight)
             with pytest.raises(ValueError, match="weight shape"):
                 arnoldi_extend(basis, np.zeros((1, 0)), op, weight)
-
-    def test_ragged_blocks_rejected(self, rng):
-        with pytest.raises(ValueError):
-            basis_combine([random_block(rng, 3, 2), random_block(rng, 4, 2)], np.ones(2))
 
 
 class TestAsBlock:

@@ -175,6 +175,19 @@ class TestHarmonicPairs:
             th, g = pairs.values[i], pairs.vectors[:, i]
             assert np.linalg.norm(normal @ g - th * (hm.T @ g)) <= 1e-8 * scale
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("e", [-600, 540])
+    def test_pairs_scale_with_h_where_h_sub_squared_leaves_the_range(self, e, rng):
+        # h_sub^2 underflows to 0 (overflows) at 2^-600 (2^540)
+        h = np.triu(rng.standard_normal((7, 6)), -1)
+        h[np.arange(1, 7), np.arange(6)] = np.abs(h[np.arange(1, 7), np.arange(6)]) + 0.5
+        unit = harmonic_pairs(h)
+        pairs = harmonic_pairs(2.0**e * h)
+        assert np.allclose(pairs.values / 2.0**e, unit.values, rtol=1e-12, atol=0.0)
+        # unit vectors, each up to a sign
+        cos = np.abs(np.sum(pairs.vectors.conj() * unit.vectors, axis=0))
+        assert np.allclose(cos, 1.0, rtol=1e-10)
+
     def test_singular_square_part_falls_back(self):
         # h with singular H_m exercises the generalized path
         h = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
@@ -557,8 +570,9 @@ class TestWglgmresDr:
 
 class TestExtremeScales:
     """Norms rescale a block whose squares under- or overflow, so the solve
-    of s * C takes the counts of the solve of C and its iterate meets tol at
-    unit scale; at these scales the sums of squares used to read 0 or inf."""
+    of s * C, or of the operator scaled by t, takes the counts of the unscaled
+    solve and its iterate meets tol; at these scales the sums of squares used
+    to read 0 or inf."""
 
     @staticmethod
     def _check(op, c, scale, cfg):
@@ -581,7 +595,9 @@ class TestExtremeScales:
         return SylvesterOperator(fdm_matrix(FdmSpec(8, 1.0, 2.0, 0.5)),
                                  fdm_matrix(FdmSpec(2, 0.3, 0.1, 0.0)))
 
-    @pytest.mark.parametrize("scale", [1e-200, 1e-120, 1e105, 1e200])
+    # under the mean weight ||C||_D is 3.7e306 at 1e204, a factor 3 below the
+    # largest one a solve accepts
+    @pytest.mark.parametrize("scale", [1e-200, 1e-120, 1e105, 1e200, 1e204])
     @pytest.mark.parametrize("k", [0, 2])
     @pytest.mark.parametrize("strat", STRATEGY_KINDS)
     def test_fdm_operator_every_strategy(self, scale, k, strat):
@@ -603,6 +619,36 @@ class TestExtremeScales:
         with pytest.raises(ValueError, match="under the mean weight, below the normal"):
             wglgmres_dr(self._fdm_operator(), scale * gen_rhs(64, 4, 3, density=0.5),
                         SolverConfig(m=8, k=2, maxit=300, strategy=WeightStrategy("mean")))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e205, 1e206])
+    def test_weighted_rhs_norm_near_overflow_raises(self, scale):
+        # ||C||_D is 1.17e308 (inf) here: the solve used to overflow in the
+        # projected least squares, then report a weight that is not finite
+        with pytest.raises(ValueError, match=r"under the mean weight, above 1\.12e\+307"):
+            wglgmres_dr(self._fdm_operator(), scale * gen_rhs(64, 4, 3, density=0.5),
+                        SolverConfig(m=8, k=2, strategy=WeightStrategy("mean")))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("e", [-600, -500, 500, 540])
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("strat", STRATEGY_KINDS)
+    def test_scaled_operator(self, e, k, strat):
+        # the Arnoldi norms, the projected least squares and the harmonic
+        # matrix rescale: their sums of squares used to under- or overflow
+        # here, breaking down at step 1 of every cycle or raising
+        op, c = self._fdm_operator(), gen_rhs(64, 4, 3, density=0.5)
+        ws = WeightStrategy(strat, seed=1 if strat == "random" else None)
+        cfg = SolverConfig(m=8, k=k, strategy=ws)
+        t = 2.0**e
+        scaled = SylvesterOperator(t * op.a, t * op.b)
+        unit = wglgmres_dr(op, c, cfg)
+        rep = wglgmres_dr(scaled, c, cfg)
+        assert rep.converged and unit.converged
+        assert rep.cycles == unit.cycles and rep.breakdowns == unit.breakdowns == []
+        if k == 0 and abs(e) <= 500:  # a power-of-two scaling of every step
+            assert np.array_equal(rep.x * t, unit.x)
+        assert frob(c - apply_sylvester(scaled, rep.x)) / frob(c) <= cfg.tol
 
 
 class TestBasisWorkspaces:

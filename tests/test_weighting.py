@@ -55,10 +55,6 @@ class TestMakeWeight:
         w3 = make_weight(WeightStrategy("random", seed=43), residual=r)
         assert not np.array_equal(w1.data, w3.data)
 
-    def test_nan_floor_rejected(self):
-        with pytest.raises(ValueError, match="floor_rel"):
-            WeightStrategy("mean", floor_rel=float("nan"))
-
     def test_only_residual_driven_kinds_follow_the_residual(self):
         follows = {kind: WeightStrategy(kind, seed=1).follows_residual
                    for kind in STRATEGY_KINDS}

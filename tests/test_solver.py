@@ -569,10 +569,10 @@ class TestWglgmresDr:
 
 
 class TestExtremeScales:
-    """Norms rescale a block whose squares under- or overflow, so the solve
-    of s * C, or of the operator scaled by t, takes the counts of the unscaled
-    solve and its iterate meets tol; at these scales the sums of squares used
-    to read 0 or inf."""
+    """The solve of s * C runs at a power-of-two scale of C near 1, and norms
+    rescale a block whose squares under- or overflow, so the solve of s * C,
+    or of the operator scaled by t, takes the counts of the unscaled solve and
+    its iterate meets tol."""
 
     @staticmethod
     def _check(op, c, scale, cfg):
@@ -595,9 +595,13 @@ class TestExtremeScales:
         return SylvesterOperator(fdm_matrix(FdmSpec(8, 1.0, 2.0, 0.5)),
                                  fdm_matrix(FdmSpec(2, 0.3, 0.1, 0.0)))
 
-    # under the mean weight ||C||_D is 3.7e306 at 1e204, a factor 3 below the
-    # largest one a solve accepts
-    @pytest.mark.parametrize("scale", [1e-200, 1e-120, 1e105, 1e200, 1e204])
+    # the solve runs at 2^-e C, so its norms stay in range: under the mean
+    # weight, whose norms grow like |C|^1.5, every scale from 1e-300 to 1e-205
+    # and from 1e205 to 1e300 used to fail, and at 5e306 five strategies did
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e-300, 1e-250, 1e-215, 1e-210, 1e-207, 1e-205,
+                                       1e-200, 1e-120, 1e105, 1e200, 1e204, 1e205, 1e206,
+                                       1e300, 5e306])
     @pytest.mark.parametrize("k", [0, 2])
     @pytest.mark.parametrize("strat", STRATEGY_KINDS)
     def test_fdm_operator_every_strategy(self, scale, k, strat):
@@ -605,29 +609,41 @@ class TestExtremeScales:
         cfg = SolverConfig(m=8, k=k, strategy=ws)
         self._check(self._fdm_operator(), gen_rhs(64, 4, 3, density=0.5), scale, cfg)
 
-    def test_weighted_norm_below_the_float_range_raises(self):
-        # the mean weight scales with the residual, so ||R||_D grows like
-        # |C|^1.5 and underflows to 0 here although R is not zero
-        with pytest.raises(ValueError, match="finite positive"):
-            wglgmres_dr(self._fdm_operator(), 1e-250 * gen_rhs(64, 4, 3, density=0.5),
-                        SolverConfig(m=8, strategy=WeightStrategy("mean")))
-
-    @pytest.mark.parametrize("scale", [1e-210, 1e-215])
-    def test_subnormal_weighted_rhs_norm_raises(self, scale):
-        # ||C||_D is a subnormal 3.7e-315 (1.2e-322) here: the solve used to
-        # run to the cycle cap with a true residual of 3.6e-5 (1.0)
-        with pytest.raises(ValueError, match="under the mean weight, below the normal"):
-            wglgmres_dr(self._fdm_operator(), scale * gen_rhs(64, 4, 3, density=0.5),
-                        SolverConfig(m=8, k=2, maxit=300, strategy=WeightStrategy("mean")))
+    @pytest.mark.parametrize("j", [-350, -1, 1, 350])
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("strat", STRATEGY_KINDS)
+    def test_even_power_of_two_scaling_is_exact(self, j, k, strat):
+        # both scalings are exact and the exponent moves by 2j, so the solve
+        # of 4^j C is the solve of C bit for bit
+        op, c = self._fdm_operator(), gen_rhs(64, 4, 3, density=0.5)
+        ws = WeightStrategy(strat, seed=1 if strat == "random" else None)
+        cfg = SolverConfig(m=8, k=k, strategy=ws)
+        unit = wglgmres_dr(op, c, cfg)
+        rep = wglgmres_dr(op, np.ldexp(c, 2 * j), cfg)
+        assert unit.converged and rep.converged
+        assert np.array_equal(rep.x, np.ldexp(unit.x, 2 * j))
+        assert ([replace(h, wall_s=0.0) for h in rep.history]
+                == [replace(h, wall_s=0.0) for h in unit.history])
+        assert rep.breakdowns == unit.breakdowns
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("scale", [1e205, 1e206])
-    def test_weighted_rhs_norm_near_overflow_raises(self, scale):
-        # ||C||_D is 1.17e308 (inf) here: the solve used to overflow in the
-        # projected least squares, then report a weight that is not finite
-        with pytest.raises(ValueError, match=r"under the mean weight, above 1\.12e\+307"):
-            wglgmres_dr(self._fdm_operator(), scale * gen_rhs(64, 4, 3, density=0.5),
-                        SolverConfig(m=8, k=2, strategy=WeightStrategy("mean")))
+    @pytest.mark.parametrize("strat", ["identity", "mean"])
+    def test_rhs_norm_overflow_raises(self, strat):
+        # ||C||_F overflows although every entry is finite; the solve used to
+        # start its first cycle and raise there on ||C||_D
+        c = gen_rhs(64, 4, 3, density=0.5)
+        c[0, 0], c[1, 1] = 1.7e308, -1.7e308
+        with pytest.raises(ValueError, match=r"^\|\|C\|\|_F is inf"):
+            wglgmres_dr(self._fdm_operator(), c, SolverConfig(m=8, strategy=WeightStrategy(strat)))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_initial_residual_raises(self):
+        # A x0 overflows, so the weighted norm of the first residual is not a
+        # finite float
+        op = self._fdm_operator()
+        with pytest.raises(ValueError, match="finite positive"):
+            wglgmres_dr(op, gen_rhs(64, 4, 3, density=0.5), SolverConfig(m=8),
+                        x0=np.full(op.shape, 1e307))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("e", [-600, -500, 500, 540])

@@ -34,10 +34,11 @@ the weight of their construction, new blocks and all cross terms in the new
 weight).  The coefficients on such a prefix go through its Gram matrix.
 
 arnoldi_extend grows the basis in place in a caller's C-ordered (m+1, n, s)
-workspace whose leading blocks are the prefix: the solver alternates two per
-solve and writes r / beta (plain restart) or the recycled blocks (deflated
-restart) at the front of one.  The returned basis is a read-only view of the
-workspace, which itself stays writable.
+workspace whose leading blocks are the prefix: the solver writes r / beta
+over the last basis (plain restart) or the recycled blocks into a second
+workspace (deflated restart), which then takes the place of the first.  The
+returned basis is a read-only view of the workspace, which itself stays
+writable.
 """
 
 from __future__ import annotations

@@ -168,7 +168,9 @@ def apply_sylvester(op, x):
     if x.shape != op.shape:
         raise ValueError(f"block shape {x.shape} does not match operator {op.shape}")
     b = op.b if op.b_dense is None else op.b_dense
-    return op.a @ x + x @ b
+    y = op.a @ x
+    y += x @ b
+    return y
 
 
 def _weight_entries(weight, shape):

@@ -183,8 +183,8 @@ def small_eig(mat):
         raise EigenConvergenceError(str(exc)) from exc
     # a stable sort keeps LAPACK's adjacent conjugate pairs together
     order = np.argsort(np.abs(values), kind="stable")
-    return EigenPairSet(values[order].astype(np.complex128),
-                        vectors[:, order].astype(np.complex128))
+    return EigenPairSet(values[order].astype(np.complex128, copy=False),
+                        vectors[:, order].astype(np.complex128, copy=False))
 
 
 def small_solve(mat, rhs):

@@ -335,10 +335,13 @@ def wglgmres_dr(op, c, cfg, x0=None):
                                [] if cfg.record_cycles else None)
         raise ValueError("zero right-hand side with a nonzero initial residual")
 
-    # a cycle grows its basis in ``out`` from the prefix in its leading blocks,
-    # r / beta after a plain restart or the recycled blocks a deflated restart
-    # wrote into ``spare`` (the last basis); then the two workspaces swap
-    out, spare = np.empty((2, cfg.m + 1) + op.shape)
+    # a cycle grows its basis in ``out`` from the prefix in its leading blocks:
+    # r / beta after a plain restart, written over the last basis, or the
+    # recycled blocks that a deflated restart wrote into ``spare`` while it
+    # still read the last basis; only then do the two swap.  With k = 0,
+    # ``spare`` need only hold arnoldi_extend's weighted copy of r / beta
+    out = np.empty((cfg.m + 1,) + op.shape)
+    spare = np.empty((cfg.m + 1 if cfg.k else 1,) + op.shape)
     history = []
     events = []
     traces = [] if cfg.record_cycles else None
@@ -384,7 +387,7 @@ def wglgmres_dr(op, c, cfg, x0=None):
             traces.append(CycleTrace(cycle, weight, prev_weight, len(h_prefix),
                                      replace(dec, basis=dec.basis.copy()), np.ldexp(cvec, e),
                                      np.ldexp(sol.y, e), math.ldexp(beta, e)))
-        r = c - op.apply(x)
+        np.subtract(c, op.apply(x), out=r)
         beta = weighted_norm(r, weight)  # the next cycle's, unless the weight changes
 
         est = sol.rho / norm_c_d
@@ -408,7 +411,8 @@ def wglgmres_dr(op, c, cfg, x0=None):
             except (DeflationError, SingularMatrixError, EigenConvergenceError) as exc:
                 events.append(f"cycle {cycle}: deflation skipped ({exc})")
         prev_weight = weight
-        out, spare = spare, out
+        if prefix is not None:
+            out, spare = spare, out
 
     x = np.ldexp(x, e)  # inexact only in the subnormal range, hence the tol check
     true_resnorm = frob(c_in - op.apply(x)) / norm_c_f_in

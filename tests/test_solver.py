@@ -1,5 +1,6 @@
 """Restarted weighted global GMRES, harmonic extraction and deflation."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -668,8 +669,28 @@ class TestExtremeScales:
 
 
 class TestBasisWorkspaces:
-    """Every solve builds every basis in two alternating workspaces; a recorded
-    one also keeps a copy of each cycle's basis."""
+    """A plain-restart solve builds every basis in one workspace and a deflated
+    one in two that alternate; a recorded solve also keeps a copy of each
+    cycle's basis."""
+
+    @pytest.mark.parametrize("strat", ["identity", "mean"])
+    def test_plain_solve_holds_less_than_two_bases(self, strat):
+        a = fdm_matrix(FdmSpec(60, *COEFFICIENT_PRESETS["varcoef1"]))
+        b = fdm_matrix(FdmSpec(2, *COEFFICIENT_PRESETS["varcoef2"]))
+        op = SylvesterOperator(a, b)
+        c = gen_rhs(op.n, op.s, 7)
+        cfg = SolverConfig(m=20, maxit=3, strategy=WeightStrategy(strat))
+        wglgmres(op, c, cfg)  # numpy's and scipy's first-call allocations stay out
+        tracemalloc.start()
+        try:
+            rep = wglgmres(op, c, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.cycles == 3
+        # two (m+1)-block bases would be 42 blocks; one with its temporaries is
+        # about 29 (identity) or 31 (mean)
+        assert peak < 2 * (cfg.m + 1) * c.nbytes
 
     @pytest.mark.parametrize("k", [0, 5])
     @pytest.mark.parametrize("strat", STRATEGY_KINDS)

@@ -1,16 +1,19 @@
 """Dense kernels for the small projected subproblems.
 
-Everything here operates on matrices of at most a few hundred rows and is one
-LAPACK call plus the checks around it: least squares on (m+1) x m
-quasi-Hessenberg matrices and a rank-revealing reduced QR, both by Householder
-QR; a real nonsymmetric eigensolver with magnitude-sorted pairs; and
-partial-pivoted linear solves with an explicit singularity threshold.
+Everything here is one LAPACK call plus the checks around it: least squares
+on (m+1) x m quasi-Hessenberg matrices and a rank-revealing reduced QR, both
+by Householder QR; a real nonsymmetric eigensolver with magnitude-sorted
+pairs; and partial-pivoted linear solves with an explicit singularity
+threshold.  The solver's matrices have at most a few hundred rows;
+``small_solve`` also serves the Kronecker oracle ``problems.kron_solve``, up
+to ``problems.KRON_MAX`` = 4096 rows.
 
 The factorizations call ``scipy.linalg.lapack`` wrappers directly, since at
 m = 10 a ``scipy.linalg`` front end adds 15-60 us of argument handling to a
 5 us LAPACK call.  Each call passes LAPACK what the front end would, so the
 results are bitwise the same, and keeps its checks: non-finite input and
-illegal arguments raise ValueError.
+illegal arguments raise ValueError.  A singular matrix or an eigeniteration
+that does not converge raises numpy's ``np.linalg.LinAlgError``.
 """
 
 from __future__ import annotations
@@ -24,8 +27,6 @@ from scipy.linalg.lapack import dgeqrf, dgetrf, dgetrs, dorgqr, dtrtrs
 from .core import frob
 
 __all__ = [
-    "SingularMatrixError",
-    "EigenConvergenceError",
     "LsqSolution",
     "EigenPairSet",
     "hessenberg_lsq",
@@ -38,14 +39,6 @@ __all__ = [
 RANK_TOL = 1e-12
 # Singularity threshold for triangular/LU diagonals, relative to the matrix norm.
 PIVOT_TOL = 1e-14
-
-
-class SingularMatrixError(np.linalg.LinAlgError):
-    """A linear solve met a pivot below the singularity threshold."""
-
-
-class EigenConvergenceError(np.linalg.LinAlgError):
-    """The QR eigeniteration did not converge within its sweep budget."""
 
 
 def _lapack(routine, *args, **kwargs):
@@ -168,7 +161,7 @@ def small_eig(mat):
     Backed by LAPACK's balanced Hessenberg-reduction + implicitly shifted QR
     iteration, which keeps conjugate pairs adjacent and returns unit-norm
     right eigenvectors; the pairs come back sorted ascending by magnitude.
-    Non-convergence raises EigenConvergenceError.
+    Non-convergence raises ``np.linalg.eig``'s LinAlgError.
     """
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -177,10 +170,7 @@ def small_eig(mat):
         raise ValueError("matrix must be at least 1 x 1")
     if not np.isfinite(mat).all():
         raise ValueError("matrix contains non-finite entries")
-    try:
-        values, vectors = np.linalg.eig(mat)
-    except np.linalg.LinAlgError as exc:
-        raise EigenConvergenceError(str(exc)) from exc
+    values, vectors = np.linalg.eig(mat)
     # a stable sort keeps LAPACK's adjacent conjugate pairs together
     order = np.argsort(np.abs(values), kind="stable")
     return EigenPairSet(values[order].astype(np.complex128, copy=False),
@@ -190,9 +180,10 @@ def small_eig(mat):
 def small_solve(mat, rhs):
     """Solve mat @ x = rhs by partial-pivoted elimination.
 
-    Raises SingularMatrixError when any pivot falls below
-    ``PIVOT_TOL * ||mat||_F`` (rescaled as in :func:`core.frob`), so callers
-    can fall back to an alternative formulation instead of consuming garbage.
+    Raises LinAlgError when any pivot falls below ``PIVOT_TOL * ||mat||_F``
+    (rescaled as in :func:`core.frob`), so callers can fall back to an
+    alternative formulation instead of consuming garbage.  The right-hand
+    side is not checked for non-finite entries.
     """
     mat = np.asarray(mat, dtype=np.float64)
     rhs = np.asarray(rhs, dtype=np.float64)
@@ -209,5 +200,5 @@ def small_solve(mat, rhs):
     # an exactly zero pivot (info > 0) fails the pivot check
     (lu, piv), _ = _lapack(dgetrf, mat)
     if not np.all(np.abs(np.diagonal(lu)) > PIVOT_TOL * frob(mat)):
-        raise SingularMatrixError("matrix is singular to working precision")
+        raise np.linalg.LinAlgError("matrix is singular to working precision")
     return _lapack(dgetrs, lu, piv, rhs)[0][0]

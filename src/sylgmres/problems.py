@@ -13,14 +13,13 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
-from .core import as_csr, frob
+from .core import as_block, as_csr
+from .dense import small_solve
 
 __all__ = [
     "FdmSpec",
@@ -266,22 +265,16 @@ def gen_rhs(n, s, seed, density=None):
 def kron_solve(op, c):
     """Solve AX + XB = C through the dense Kronecker linearization.
 
-    Assembles I_s (x) A + B^T (x) I_n, solves by partial-pivoted elimination
-    and reshapes back.  Refuses problems with n*s above the desk-scale cap
-    and singular linearizations (those have no unique solution).
+    Assembles I_s (x) A + B^T (x) I_n, solves it with :func:`dense.small_solve`
+    (partial-pivoted LU) and reshapes back.  Refuses a non-finite C and
+    problems with n*s above the desk-scale cap (ValueError), and raises
+    LinAlgError for a singular linearization (it has no unique solution).
     """
-    c = np.asarray(c, dtype=np.float64)
+    c = as_block(c, name="right-hand side")
     if c.shape != op.shape:
         raise ValueError(f"right-hand side shape {c.shape} does not match operator {op.shape}")
     n, s = op.shape
     if n * s > KRON_MAX:
         raise ValueError(f"kron_solve is capped at n*s <= {KRON_MAX}, got {n * s}")
     big = np.kron(np.eye(s), op.a.toarray()) + np.kron(op.b.toarray().T, np.eye(n))
-    with warnings.catch_warnings():
-        # singularity is reported through the pivot check below
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(big)
-    if not np.all(np.abs(np.diagonal(lu)) > 1e-14 * frob(big)):
-        raise np.linalg.LinAlgError("Kronecker linearization is singular; no unique solution")
-    vec = scipy.linalg.lu_solve((lu, piv), c.ravel(order="F"))
-    return np.asfortranarray(vec.reshape((n, s), order="F"))
+    return small_solve(big, c.ravel(order="F")).reshape((n, s), order="F")

@@ -36,9 +36,7 @@ from .arnoldi import ArnoldiDecomposition, arnoldi_extend
 from .arnoldi import arnoldi_run  # noqa: F401
 from .core import as_block, basis_combine, frob, weighted_norm
 from .dense import (
-    EigenConvergenceError,
     EigenPairSet,
-    SingularMatrixError,
     hessenberg_lsq,
     reduced_qr,
     small_eig,
@@ -115,9 +113,10 @@ class CycleRecord:
 class CycleTrace:
     """Full per-cycle state, kept only when ``record_cycles`` is set.
 
-    ``weight``, ``prev_weight`` and ``dec`` (basis copied) are the solve's at
-    2^-e C (module docstring).  In the caller's units, ``c`` and ``y`` give the
-    start residual and the update of X in that basis, ``beta`` the residual's norm.
+    ``weight``, ``prev_weight`` (the previous trace's ``weight``, None on cycle
+    1) and ``dec`` (basis copied) are the solve's at 2^-e C (module docstring).
+    In the caller's units, ``c`` and ``y`` give the start residual and the
+    update of X in that basis, ``beta`` the residual's norm.
     """
 
     cycle: int
@@ -169,7 +168,7 @@ def harmonic_pairs(h):
     em[m - 1] = 1.0
     try:
         u = small_solve(hm.T, em)
-    except SingularMatrixError:
+    except np.linalg.LinAlgError:
         normal = h.T @ h
         inv_map = small_solve(normal, hm.T)  # raises again if the pencil is singular
         inv_pairs = small_eig(inv_map)
@@ -347,7 +346,6 @@ def wglgmres_dr(op, c, cfg, x0=None):
     traces = [] if cfg.record_cycles else None
     weight = None
     prefix = None
-    prev_weight = None
     converged = False
     cum_iter = 0
 
@@ -384,9 +382,9 @@ def wglgmres_dr(op, c, cfg, x0=None):
         ncols = dec.h.shape[1]
         x += basis_combine(dec.basis[:ncols], sol.y)
         if traces is not None:
-            traces.append(CycleTrace(cycle, weight, prev_weight, len(h_prefix),
-                                     replace(dec, basis=dec.basis.copy()), np.ldexp(cvec, e),
-                                     np.ldexp(sol.y, e), math.ldexp(beta, e)))
+            traces.append(CycleTrace(cycle, weight, traces[-1].weight if traces else None,
+                                     len(h_prefix), replace(dec, basis=dec.basis.copy()),
+                                     np.ldexp(cvec, e), np.ldexp(sol.y, e), math.ldexp(beta, e)))
         np.subtract(c, op.apply(x), out=r)
         beta = weighted_norm(r, weight)  # the next cycle's, unless the weight changes
 
@@ -408,9 +406,8 @@ def wglgmres_dr(op, c, cfg, x0=None):
                 g_real = select_and_realify(harmonic_pairs(dec.h), cfg.k)
                 _, new_h, q = restart_subspace(dec, g_real, sol.residual, spare)
                 prefix = (new_h, q.T @ sol.residual)
-            except (DeflationError, SingularMatrixError, EigenConvergenceError) as exc:
+            except (DeflationError, np.linalg.LinAlgError) as exc:
                 events.append(f"cycle {cycle}: deflation skipped ({exc})")
-        prev_weight = weight
         if prefix is not None:
             out, spare = spare, out
 

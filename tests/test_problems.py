@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.io
+import scipy.linalg
 import scipy.sparse as sp
 
 from sylgmres import SylvesterOperator, kron_solve
@@ -20,7 +21,7 @@ from sylgmres.problems import (
     write_matrix_market,
 )
 
-from conftest import random_block, random_operator
+from conftest import kron_matrix, random_block, random_operator
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOOD_FILES = ["single.mtx", "sym2.mtx", "identity4.mtx", "sym3.mtx", "general6.mtx"]
@@ -233,3 +234,20 @@ class TestKronSolve:
         op = SylvesterOperator(np.eye(2), -np.eye(2))
         with pytest.raises(np.linalg.LinAlgError):
             kron_solve(op, np.ones((2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rhs_rejected(self, bad, rng):
+        op = random_operator(rng, 5, 3)
+        c = random_block(rng, 5, 3)
+        c[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            kron_solve(op, c)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_as_scipy_lu(self, seed):
+        # small_solve makes the LAPACK calls of lu_factor and lu_solve
+        rng = np.random.default_rng(seed)
+        op = random_operator(rng, 12, 3)
+        c = random_block(rng, 12, 3)
+        vec = scipy.linalg.lu_solve(scipy.linalg.lu_factor(kron_matrix(op)), c.ravel(order="F"))
+        assert np.array_equal(kron_solve(op, c), vec.reshape(op.shape, order="F"))

@@ -39,6 +39,13 @@ over the last basis (plain restart) or the recycled blocks into a second
 workspace (deflated restart), which then takes the place of the first.  The
 returned basis is a read-only view of the workspace, which itself stays
 writable.
+
+arnoldi_extend checks its workspaces and the prefix shape once per call; the
+steps themselves scan nothing.  A NaN or inf the operator produces lands in
+the recurrence matrix, whose finiteness ``dense.hessenberg_lsq`` checks
+before the solver uses it (ValueError).  The prefix Gram solve checks its
+right-hand side with one sum of squares, scanning the entries only when that
+sum is not finite, as the dense kernels do.
 """
 
 from __future__ import annotations
@@ -53,7 +60,8 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 # module because solvebench's tracer wraps it under this name.  The step
 # kernel below calls neither diamond_product nor weighted_norm: they run once
 # per extension, for the prefix Gram matrix and the start block.
-from .core import Weight, _root, _weight_entries, as_block, diamond_product
+from .core import (_INF, _TINY, Weight, _finite_sumsq, _root, _weight_entries, as_block,
+                   diamond_product)
 from .core import weighted_inner, weighted_norm  # noqa: F401
 from .dense import _lapack
 
@@ -85,9 +93,12 @@ def _norm(v, d):
     """Weighted 2-norm of the flat vector ``v`` under the flat weight ``d``
     (None for the identity), summed and rescaled as :func:`core.weighted_norm`
     sums and rescales it."""
+    val = float(np.einsum("i,i->", v, v) if d is None else np.einsum("i,i,i->", d, v, v))
+    if _TINY <= val < _INF:
+        return math.sqrt(val)
     if d is None:
-        return _root(lambda u: float(np.einsum("i,i->", u, u)), v)
-    return _root(lambda u: float(np.einsum("i,i,i->", d, u, u)), v)
+        return _root(lambda u: float(np.einsum("i,i->", u, u)), v, val)
+    return _root(lambda u: float(np.einsum("i,i,i->", d, u, u)), v, val)
 
 
 def _sweep(v, flat, d, work, prefix_solve, prefix_count):
@@ -161,7 +172,8 @@ def _fused_step(flat, p, h, d, work, prefix_solve, prefix_count, floor):
     # the pending block's own coefficient 1 - 1/nu2 normalizes it in the update
     r = c / nu2
     s[:p, 1] -= r * a
-    s[p] = 1.0 - 1.0 / nu2, r
+    s[p, 0] = 1.0 - 1.0 / nu2
+    s[p, 1] = r
     a /= nu2
     np.subtract(pair, np.matmul(s.T, flat[:p + 1], out=work), out=pair)
     return nu2
@@ -224,7 +236,7 @@ def arnoldi_extend(basis, h_prefix, op, weight, spare=None):
     size = from_j
     h = np.zeros((to_m + 1, to_m))
     h[: from_j, : from_j - 1] = h_prefix
-    hmax = float(np.abs(h_prefix).max()) if h_prefix.size else 0.0
+    hmax = max(map(abs, h_prefix.ravel().tolist()), default=0.0)
     breakdown = None
     prefix_solve, prefix_count = _prefix_projector(basis[:from_j], weight, spare)
 
@@ -244,7 +256,8 @@ def arnoldi_extend(basis, h_prefix, op, weight, spare=None):
                 break
         nrm = _norm(v, d) / scale
         h[size, col] = nrm
-        hmax = max(hmax, float(np.abs(h[: size + 1, col]).max()))
+        # the largest |h| of the column, which holds nrm below the rest
+        hmax = max(hmax, nrm, *map(abs, h[:size, col].tolist()))
         if nrm <= BREAKDOWN_TOL * hmax:
             breakdown = col + 1
             h = h[: col + 2, : col + 1]
@@ -273,10 +286,11 @@ def _prefix_projector(prefix, weight, spare=None):
     weighted = prefix if w is None else np.multiply(
         w, prefix, out=None if spare is None else spare[:len(prefix)])
     gram = diamond_product(prefix, weighted, Weight.identity())
-    if np.abs(gram - np.eye(len(prefix))).max() <= 1e-12:
+    if all(abs(x - (i == j)) <= 1e-12 for i, row in enumerate(gram.tolist())
+           for j, x in enumerate(row)):
         return None, 0
     # scipy.linalg.cho_factor's and cho_solve's LAPACK calls and checks
-    np.asarray_chkfinite(gram)
+    _finite_sumsq(gram, "prefix Gram matrix")
     (factor,), info = _lapack(dpotrf, gram, lower=0, clean=0)
     if info:
         # weight change made the prefix numerically dependent (its Gram matrix
@@ -284,7 +298,10 @@ def _prefix_projector(prefix, weight, spare=None):
         return (lambda b: np.linalg.lstsq(gram, b, rcond=None)[0]), len(prefix)
 
     def cho_solve(b):
-        np.asarray_chkfinite(b)
-        return _lapack(dpotrs, factor, b, lower=0)[0][0]
+        _finite_sumsq(b, "right-hand side")
+        x, info = dpotrs(factor, b, lower=0)
+        if info:
+            raise ValueError(f"LAPACK reported an illegal value in argument {-info}")
+        return x
 
     return cho_solve, len(prefix)

@@ -15,6 +15,8 @@ combination one vector-matrix product.  Sparse matrices are scipy CSR arrays.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -54,25 +56,44 @@ def as_csr(mat, name="matrix"):
 
 
 _TINY = float(np.finfo(np.float64).tiny)
+_INF = math.inf
 
 
-def _root(sum_sq, y):
+def _root(sum_sq, y, val=None):
     """sqrt(sum_sq(y)) for a sum of squares; one that under- or overflowed
-    (below the smallest normal float or inf) is redone on y / max|y|."""
-    val, t = sum_sq(y), 1.0
-    if not _TINY <= val < np.inf and 0.0 < (big := float(np.abs(y).max(initial=0.0))) < np.inf:
+    (below the smallest normal float or inf) is redone on y / max|y|.
+    ``val``, if given, is sum_sq(y) already computed."""
+    val, t = sum_sq(y) if val is None else val, 1.0
+    if not _TINY <= val < _INF and 0.0 < (big := float(np.abs(y).max(initial=0.0))) < _INF:
         val, t = sum_sq(y / big), big
     # tiny negative values can appear through rounding in the einsum
     # reduction; only those are clamped, so a NaN stays NaN
-    return 0.0 if val <= 0.0 else t * float(np.sqrt(val))
+    return 0.0 if val <= 0.0 else t * math.sqrt(val)
+
+
+def _sumsq(v):
+    # np.vdot runs the BLAS dot that ndarray.dot runs, without the floating
+    # point error check after it, so an overflowed sum raises no warning
+    return float(np.vdot(v, v))
+
+
+def _finite_sumsq(a, what):
+    """The sum of squares of ``a`` in C order, as frob sums it; ValueError
+    naming ``what`` if an entry is not finite.  The sum is finite unless an
+    entry is not or the sum overflows, so only then are the entries scanned."""
+    a = a.ravel()
+    val = _sumsq(a)
+    if not val < _INF and not np.isfinite(a).all():
+        raise ValueError(f"{what} contains non-finite entries")
+    return val
 
 
 def frob(x):
     """Frobenius norm of a dense array, summed in C order whatever its layout
     (as np.linalg.norm sums a C-ordered array) and rescaled as in _root."""
     x = np.asarray(x, dtype=np.float64).ravel()
-    with np.errstate(over="ignore"):  # an overflowed sum is rescaled
-        return _root(lambda v: float(v.dot(v)), x)
+    val = _sumsq(x)
+    return math.sqrt(val) if _TINY <= val < _INF else _root(_sumsq, x, val)
 
 
 class Weight:
@@ -103,6 +124,15 @@ class Weight:
     @classmethod
     def identity(cls, tag="identity"):
         return cls(None, tag)
+
+    @classmethod
+    def _of(cls, data, tag):
+        """The weight on ``data``, a read-only C-ordered float64 n x s array
+        whose entries the caller has made finite and > 0: no copy, no scan."""
+        weight = cls.__new__(cls)
+        weight.data = data
+        weight.tag = tag
+        return weight
 
     @classmethod
     def diagonal(cls, d, s, tag="diagonal"):
@@ -152,7 +182,12 @@ class SylvesterOperator:
         return (self.n, self.s)
 
     def apply(self, x):
-        return apply_sylvester(self, x)
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (self.n, self.s):
+            raise ValueError(f"block shape {x.shape} does not match operator {self.shape}")
+        y = self.a @ x
+        y += x @ (self.b if self.b_dense is None else self.b_dense)
+        return y
 
     def frobenius_scale(self):
         """||A||_F + ||B||_F, the natural magnitude scale of the operator."""
@@ -164,13 +199,7 @@ class SylvesterOperator:
 
 def apply_sylvester(op, x):
     """Apply X -> A X + X B without forming any Kronecker matrix."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != op.shape:
-        raise ValueError(f"block shape {x.shape} does not match operator {op.shape}")
-    b = op.b if op.b_dense is None else op.b_dense
-    y = op.a @ x
-    y += x @ b
-    return y
+    return op.apply(x)
 
 
 def _weight_entries(weight, shape):
@@ -196,7 +225,12 @@ def weighted_inner(y, z, weight):
 def weighted_norm(y, weight):
     """Norm induced by :func:`weighted_inner`, rescaled as in _root; zero
     only for the zero block."""
-    return _root(lambda v: weighted_inner(v, v, weight), np.asarray(y))
+    y = np.asarray(y)
+    w = _weight_entries(weight, y.shape)
+    val = float(np.einsum("ij,ij->", y, y) if w is None else np.einsum("ij,ij,ij->", w, y, y))
+    if _TINY <= val < _INF:
+        return math.sqrt(val)
+    return _root(lambda v: weighted_inner(v, v, weight), y, val)
 
 
 def diamond_product(u, v, weight):

@@ -1,30 +1,39 @@
 """Dense kernels for the small projected subproblems.
 
-Everything here is one LAPACK call plus the checks around it: least squares
-on (m+1) x m quasi-Hessenberg matrices and a rank-revealing reduced QR, both
-by Householder QR; a real nonsymmetric eigensolver with magnitude-sorted
-pairs; and partial-pivoted linear solves with an explicit singularity
-threshold.  The solver's matrices have at most a few hundred rows;
-``small_solve`` also serves the Kronecker oracle ``problems.kron_solve``, up
-to ``problems.KRON_MAX`` = 4096 rows.
+Each kernel is one LAPACK call and the checks its callers rely on: least
+squares on (m+1) x m quasi-Hessenberg matrices and a rank-revealing reduced
+QR, both by Householder QR; a real nonsymmetric eigensolver with
+magnitude-sorted pairs; and partial-pivoted linear solves with an explicit
+singularity threshold.  The solver's matrices have at most a few hundred
+rows; ``small_solve`` also serves the Kronecker oracle
+``problems.kron_solve``, up to ``problems.KRON_MAX`` = 4096 rows.
 
 The factorizations call ``scipy.linalg.lapack`` wrappers directly, since at
 m = 10 a ``scipy.linalg`` front end adds 15-60 us of argument handling to a
 5 us LAPACK call.  Each call passes LAPACK what the front end would, so the
-results are bitwise the same, and keeps its checks: non-finite input and
-illegal arguments raise ValueError.  A singular matrix or an eigeniteration
-that does not converge raises numpy's ``np.linalg.LinAlgError``.
+results are bitwise the same.  Non-finite input and illegal arguments raise
+ValueError; a singular matrix or an eigeniteration that does not converge
+raises numpy's ``np.linalg.LinAlgError``.
+
+The checks ride on work the kernel does anyway, so at m = 10 they cost a
+fraction of a microsecond instead of a numpy scan each.  The sum of squares
+behind the Frobenius norm of a pivot or rank threshold is finite exactly when
+every entry is, short of an overflow, so the full finiteness scan runs only
+when that sum is not finite.  ``small_eig`` leaves the scan to
+``np.linalg.eig``, which makes it anyway, and names the fault only when eig
+fails.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dgeqrf, dgetrf, dgetrs, dorgqr, dtrtrs
 
-from .core import frob
+from .core import _TINY, _finite_sumsq, frob
 
 __all__ = [
     "LsqSolution",
@@ -47,6 +56,12 @@ def _lapack(routine, *args, **kwargs):
     if info < 0:
         raise ValueError(f"LAPACK reported an illegal value in argument {-info}")
     return out, info
+
+
+def _finite_norm(a, what):
+    """frob(a) for a finite array; ValueError naming ``what`` otherwise."""
+    val = _finite_sumsq(a, what)
+    return math.sqrt(val) if _TINY <= val < math.inf else frob(a)
 
 
 def _qr(a, cols):
@@ -98,18 +113,19 @@ def hessenberg_lsq(h, c):
     solution is returned in that case, with ``rho`` recomputed from it.  The
     norms are rescaled as in :func:`core.frob`, so H may have any scale.
     """
-    h = np.asarray_chkfinite(h, dtype=np.float64)
-    c = np.asarray_chkfinite(c, dtype=np.float64)
+    h = np.asarray(h, dtype=np.float64)
+    c = np.asarray(c, dtype=np.float64)
     if h.ndim != 2 or h.shape[0] != h.shape[1] + 1:
         raise ValueError(f"expected an (m+1) x m matrix, got {h.shape}")
     m = h.shape[1]
     if c.shape != (m + 1,):
         raise ValueError(f"right-hand side must have length {m + 1}, got {c.shape}")
+    tol = PIVOT_TOL * _finite_norm(h, "matrix")
+    _finite_sumsq(c, "right-hand side")
 
     q, qr = _qr(h, m + 1)
     g = q.T @ c
-    diag = np.abs(np.diagonal(qr))
-    degenerate = bool(m and np.any(diag <= PIVOT_TOL * frob(h)))
+    degenerate = bool(m) and min(map(abs, qr.diagonal().tolist())) <= tol
     if degenerate:
         y = np.linalg.lstsq(np.triu(qr[:m]), g[:m], rcond=None)[0]
     elif m:
@@ -136,7 +152,7 @@ def reduced_qr(g):
     ``q^T g`` is upper triangular up to rounding when nothing is dropped, and
     ``g ~ q q^T g`` either way.
     """
-    g = np.asarray_chkfinite(g, dtype=np.float64)
+    g = np.asarray(g, dtype=np.float64)
     if g.ndim != 2:
         raise ValueError("expected a 2-d matrix")
     m, k = g.shape
@@ -144,15 +160,24 @@ def reduced_qr(g):
         raise ValueError(f"need at least as many rows as columns, got {g.shape}")
     if not g.size:
         return np.empty((m, 0))
-    tol = RANK_TOL * np.linalg.norm(g, axis=0).max()
+    # the largest column norm as np.linalg.norm(g, axis=0).max() computes it;
+    # its square is NaN or inf if an entry is, and otherwise only on overflow
+    colsq = float(np.add.reduce(g * g, axis=0).max())
+    if not colsq < math.inf and not np.isfinite(g).all():
+        raise ValueError("matrix contains non-finite entries")
+    tol = RANK_TOL * math.sqrt(colsq)
 
     q, qr = _qr(g, k)
-    kept = [j for j in range(k) if abs(qr[j, j]) > tol]
+    diag = qr.diagonal().tolist()
+    kept = [j for j in range(k) if abs(diag[j]) > tol]
     if len(kept) < k:
         # a dropped column's Householder direction is arbitrary and would
         # leak into the later columns of q
         q, qr = _qr(g[:, kept], len(kept))
-    return q * np.where(np.diagonal(qr) < 0.0, -1.0, 1.0)
+        diag = qr.diagonal().tolist()
+    if any(x < 0.0 for x in diag):
+        q *= [-1.0 if x < 0.0 else 1.0 for x in diag]
+    return q
 
 
 def small_eig(mat):
@@ -168,11 +193,15 @@ def small_eig(mat):
         raise ValueError(f"expected a square matrix, got {mat.shape}")
     if mat.shape[0] < 1:
         raise ValueError("matrix must be at least 1 x 1")
-    if not np.isfinite(mat).all():
-        raise ValueError("matrix contains non-finite entries")
-    values, vectors = np.linalg.eig(mat)
+    try:
+        values, vectors = np.linalg.eig(mat)
+    except np.linalg.LinAlgError:
+        # eig itself refuses non-finite input with a LinAlgError
+        if not np.isfinite(mat).all():
+            raise ValueError("matrix contains non-finite entries") from None
+        raise
     # a stable sort keeps LAPACK's adjacent conjugate pairs together
-    order = np.argsort(np.abs(values), kind="stable")
+    order = np.abs(values).argsort(kind="stable")
     return EigenPairSet(values[order].astype(np.complex128, copy=False),
                         vectors[:, order].astype(np.complex128, copy=False))
 
@@ -193,12 +222,11 @@ def small_solve(mat, rhs):
         raise ValueError(
             f"right-hand side rows {rhs.shape[0]} do not match matrix {mat.shape}"
         )
-    if not np.isfinite(mat).all():
-        raise ValueError("matrix contains non-finite entries")
+    tol = PIVOT_TOL * _finite_norm(mat, "matrix")
     if not mat.size:
         return np.empty_like(rhs)
-    # an exactly zero pivot (info > 0) fails the pivot check
+    # an exactly zero pivot (info > 0) fails the pivot check, and so does NaN
     (lu, piv), _ = _lapack(dgetrf, mat)
-    if not np.all(np.abs(np.diagonal(lu)) > PIVOT_TOL * frob(mat)):
+    if not all(abs(x) > tol for x in lu.diagonal().tolist()):
         raise np.linalg.LinAlgError("matrix is singular to working precision")
     return _lapack(dgetrs, lu, piv, rhs)[0][0]

@@ -276,5 +276,8 @@ def kron_solve(op, c):
     n, s = op.shape
     if n * s > KRON_MAX:
         raise ValueError(f"kron_solve is capped at n*s <= {KRON_MAX}, got {n * s}")
-    big = np.kron(np.eye(s), op.a.toarray()) + np.kron(op.b.toarray().T, np.eye(n))
+    # the second product is added in place (the same sums, one (n*s)^2 matrix
+    # less); np.kron copies its result once more for a B^T that is not C-ordered
+    big = np.kron(np.eye(s), op.a.toarray())
+    big += np.kron(np.ascontiguousarray(op.b.toarray().T), np.eye(n))
     return small_solve(big, c.ravel(order="F")).reshape((n, s), order="F")

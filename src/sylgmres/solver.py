@@ -34,7 +34,7 @@ import numpy as np
 # because solvebench's tracer wraps it under this name.
 from .arnoldi import ArnoldiDecomposition, arnoldi_extend
 from .arnoldi import arnoldi_run  # noqa: F401
-from .core import as_block, basis_combine, frob, weighted_norm
+from .core import _TINY, as_block, basis_combine, frob, weighted_norm
 from .dense import (
     EigenPairSet,
     hessenberg_lsq,
@@ -158,7 +158,7 @@ def harmonic_pairs(h):
     m = h.shape[1]
     hm = h[:m, :]
     hsub = float(h[m, m - 1])
-    if hsub and not np.finfo(float).tiny <= hsub * hsub < np.inf:
+    if hsub and not _TINY <= hsub * hsub < math.inf:
         # the pairs of 2^-e H are those of H with the values times 2^-e,
         # and both scalings are exact
         e = math.frexp(hsub)[1]
@@ -202,11 +202,12 @@ def select_and_realify(pairs, k):
     if k_sel < 1:
         raise DeflationError("no harmonic pairs available for deflation")
 
+    vals = values.tolist()
     cols = []
     i = 0
     while i < k_sel:
         vec = vectors[:, i]
-        if values[i].imag == 0.0:
+        if vals[i].imag == 0.0:
             cols.append(vec.real)
             i += 1
             continue
@@ -215,8 +216,8 @@ def select_and_realify(pairs, k):
                 k_sel -= 1
                 break
             k_sel += 1
-        conj = complex(values[i]).conjugate()  # np.isclose(., conj, rtol=1e-8, atol=0) on scalars
-        if not abs(complex(values[i + 1]) - conj) <= 1e-8 * abs(conj):
+        conj = complex(vals[i]).conjugate()  # np.isclose(., conj, rtol=1e-8, atol=0) on scalars
+        if not abs(complex(vals[i + 1]) - conj) <= 1e-8 * abs(conj):
             raise DeflationError("conjugate partner of a complex harmonic value is missing")
         cols.append(vec.real)
         cols.append(vec.imag)
@@ -224,7 +225,8 @@ def select_and_realify(pairs, k):
     if k_sel < 1:
         raise DeflationError("conjugate-pair adjustment left nothing to deflate")
 
-    return np.column_stack(cols)
+    # the columns of an F-ordered array, which LAPACK's QR takes without a copy
+    return np.array(cols).T
 
 
 def restart_subspace(dec, g_real, r, out=None):
@@ -259,7 +261,9 @@ def restart_subspace(dec, g_real, r, out=None):
     nrm = frob(v)
     if nrm <= _RESTART_SPAN_TOL * frob(r):
         raise DeflationError("residual direction already lies in the recycled span")
-    q = np.column_stack([q_ext, v / nrm])
+    q = np.empty((rows, kq + 1))
+    q[:, :kq] = q_ext
+    np.divide(v, nrm, out=q[:, kq])
 
     new_h = q.T @ dec.h @ qg
     shape = (kq + 1,) + dec.basis.shape[1:]
@@ -349,12 +353,13 @@ def wglgmres_dr(op, c, cfg, x0=None):
     converged = False
     cum_iter = 0
 
+    follows = cfg.strategy.follows_residual
     for cycle in range(1, cfg.maxit + 1):
-        if weight is None or cfg.strategy.follows_residual:
+        if weight is None or follows:
             weight = make_weight(cfg.strategy, residual=r, rhs=c)
             norm_c_d = weighted_norm(c, weight)
             beta = weighted_norm(r, weight)
-        if not np.isfinite(beta) or (beta == 0.0 and r.any()):  # NaN, over- or underflow
+        if not math.isfinite(beta) or (beta == 0.0 and r.any()):  # NaN, over- or underflow
             raise ValueError(f"cycle {cycle}: the weighted residual norm is {beta}, "
                              "not a finite positive float")
         if beta == 0.0:

@@ -55,13 +55,21 @@ class WeightStrategy:
         return self.kind in ("max-col", "min-col", "mean")
 
 
-def _floored(values, shape, tag):
+def _floored(values, shape, tag, mx=None):
     """The weight on blocks of ``shape`` with entries ``values`` (n x s, or an
-    n x 1 diagonal) floored at ``FLOOR_REL`` times their largest, if positive."""
-    mx = float(values.max()) if values.size else 0.0
+    n x 1 diagonal; none negative) floored at ``FLOOR_REL`` times their
+    largest ``mx``, if positive."""
+    if mx is None:
+        mx = float(values.max()) if values.size else 0.0
     if mx <= 0.0:
         return Weight.identity(tag=f"identity[degenerate:{tag}]")
-    return Weight(np.broadcast_to(np.maximum(values, FLOOR_REL * mx), shape), tag)
+    floor = FLOOR_REL * mx
+    if not (floor > 0.0 and mx < np.inf):  # NaN fails too: Weight() names the fault
+        return Weight(np.broadcast_to(np.maximum(values, floor), shape), tag)
+    # every entry now lies in [floor, mx], so the checks of Weight() would pass
+    data = np.maximum(values, floor, out=np.empty(shape))
+    data.flags.writeable = False
+    return Weight._of(data, tag)
 
 
 def make_weight(strategy, residual=None, rhs=None):
@@ -95,22 +103,28 @@ def make_weight(strategy, residual=None, rhs=None):
         d = np.random.default_rng(strategy.seed).uniform(0.0, 2.0, (r.shape[0], 1))
         return _floored(d, r.shape, f"random[{strategy.seed}]")
 
+    if kind == "mean":
+        # the row sums column by column, as numpy's mean sums rows of fewer
+        # than 8 entries, but without its slow strided reduction
+        total = r[:, :1].copy()
+        for j in range(1, r.shape[1]):
+            total += r[:, j:j + 1]
+        values = np.abs(np.divide(total, r.shape[1], out=total), out=total)
+        # a row mean is at most max |r|, so only a tiny one calls for that scan
+        mx = float(values.max())
+        if not mx >= _ZERO_RESIDUAL and float(np.abs(r).max()) < _ZERO_RESIDUAL:
+            return Weight.identity(tag="identity[degenerate:mean]")
+        return _floored(values, r.shape, "mean", mx)
+
     big = float(np.abs(r).max())
     if big < _ZERO_RESIDUAL:
         return Weight.identity(tag=f"identity[degenerate:{kind}]")
 
-    if kind in ("max-col", "min-col"):
-        if not 1e-150 <= big <= 1e150:  # the squares would under- or overflow
-            r = r / big
-        norms = np.linalg.norm(r, axis=0)
-        t = int(np.argmax(norms) if kind == "max-col" else np.argmin(norms))
-        if norms[t] == 0.0:
-            return Weight.identity(tag=f"identity[degenerate:{kind}]")
-        return _floored(np.abs(r[:, t:t + 1]) / norms[t], r.shape, kind)
-
-    # kind == "mean": the row sums column by column, as numpy's mean sums
-    # rows of fewer than 8 entries, but without its slow strided reduction
-    total = r[:, :1].copy()
-    for j in range(1, r.shape[1]):
-        total += r[:, j:j + 1]
-    return _floored(np.abs(total / r.shape[1]), r.shape, "mean")
+    # kind is "max-col" or "min-col"
+    if not 1e-150 <= big <= 1e150:  # the squares would under- or overflow
+        r = r / big
+    norms = np.linalg.norm(r, axis=0)
+    t = int(np.argmax(norms) if kind == "max-col" else np.argmin(norms))
+    if norms[t] == 0.0:
+        return Weight.identity(tag=f"identity[degenerate:{kind}]")
+    return _floored(np.abs(r[:, t:t + 1]) / norms[t], r.shape, kind)

@@ -31,7 +31,11 @@ case): new blocks are orthogonalized against every existing block in the
 *current* weight while the prefix itself is never touched, so a basis built
 across a weight change is orthonormal in the mixed sense (prefix blocks in
 the weight of their construction, new blocks and all cross terms in the new
-weight).  The coefficients on such a prefix go through its Gram matrix.
+weight).  The coefficients on such a prefix go through its Gram matrix:
+_prefix_projector returns None for a prefix orthonormal in the current
+weight, else one callable that overwrites the leading len(prefix) rows of a
+coefficient array, in place, with their solve through that matrix.  The
+weighted norm of a flat block is core's kernel, which weighted_norm calls too.
 
 arnoldi_extend grows the basis in place in a caller's C-ordered (m+1, n, s)
 workspace whose leading blocks are the prefix: the solver writes r / beta
@@ -60,8 +64,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 # module because solvebench's tracer wraps it under this name.  The step
 # kernel below calls neither diamond_product nor weighted_norm: they run once
 # per extension, for the prefix Gram matrix and the start block.
-from .core import (_INF, _TINY, Weight, _finite_sumsq, _root, _weight_entries, as_block,
-                   diamond_product)
+from .core import Weight, _finite_sumsq, _norm, _weight_entries, as_block, diamond_product
 from .core import weighted_inner, weighted_norm  # noqa: F401
 from .dense import _lapack
 
@@ -89,37 +92,24 @@ class ArnoldiDecomposition:
     breakdown: int | None = None
 
 
-def _norm(v, d):
-    """Weighted 2-norm of the flat vector ``v`` under the flat weight ``d``
-    (None for the identity), summed and rescaled as :func:`core.weighted_norm`
-    sums and rescales it."""
-    val = float(np.einsum("i,i->", v, v) if d is None else np.einsum("i,i,i->", d, v, v))
-    if _TINY <= val < _INF:
-        return math.sqrt(val)
-    if d is None:
-        return _root(lambda u: float(np.einsum("i,i->", u, u)), v, val)
-    return _root(lambda u: float(np.einsum("i,i,i->", d, u, u)), v, val)
-
-
-def _sweep(v, flat, d, work, prefix_solve, prefix_count):
+def _sweep(v, flat, d, work, project):
     """One classical Gram-Schmidt sweep: make the flat vector ``v``
     weight-orthogonal to the rows of ``flat``, in place; returns the
     coefficients.
 
     The coefficients come from one GEMV against ``D v`` (``d`` is the flat
     weight, None for the identity) and are removed with one GEMV; ``work``
-    is a (2, n*s) scratch array.  Rows beyond ``prefix_count`` are
-    orthonormal in the weight.  The leading ``prefix_count`` rows may fail to
-    be (a restart prefix carried across a weight change), but every later row
-    was made orthogonal to them in the weight, so the Gram matrix is block
-    diagonal: the prefix coefficients go through ``prefix_solve`` (an oblique
-    projection through the prefix Gram matrix) and the others are used as
-    they are.
+    is a (2, n*s) scratch array.  The rows after the prefix are orthonormal
+    in the weight.  The prefix rows may fail to be (a restart prefix carried
+    across a weight change), but every later row was made orthogonal to them
+    in the weight, so the Gram matrix is block diagonal: ``project`` (the
+    prefix projector, None for an orthonormal prefix) rewrites the prefix
+    coefficients and the others are used as they are.
     """
     weighted = v if d is None else np.multiply(d, v, out=work[0])
     t = flat @ weighted
-    if prefix_solve is not None:
-        t[:prefix_count] = prefix_solve(t[:prefix_count])
+    if project is not None:
+        project(t)
     np.subtract(v, np.matmul(t, flat, out=work[1]), out=v)
     return t
 
@@ -135,7 +125,7 @@ def _fold_second_sweep(h, p, a, nu2):
     return nu1 * nu2
 
 
-def _fused_step(flat, p, h, d, work, prefix_solve, prefix_count, floor):
+def _fused_step(flat, p, h, d, work, project, floor):
     """Second sweep of the pending block ``p`` and first sweep of the new
     block ``p + 1`` (the operator applied to the pending block), in place.
 
@@ -151,9 +141,9 @@ def _fused_step(flat, p, h, d, work, prefix_solve, prefix_count, floor):
     weighted = pair if d is None else np.multiply(d, pair, out=work)
     s = flat[:p + 1] @ weighted.T
     raw = s[:p]
-    if prefix_solve is not None:
+    if project is not None:
         raw = raw.copy()
-        s[:prefix_count] = prefix_solve(raw[:prefix_count])
+        project(s)
     a = s[:p, 0]
     aa, ab = (a @ raw).tolist()
     gamma, omega = s[p].tolist()
@@ -238,21 +228,19 @@ def arnoldi_extend(basis, h_prefix, op, weight, spare=None):
     h[: from_j, : from_j - 1] = h_prefix
     hmax = max(map(abs, h_prefix.ravel().tolist()), default=0.0)
     breakdown = None
-    prefix_solve, prefix_count = _prefix_projector(basis[:from_j], weight, spare)
+    project = _prefix_projector(basis[:from_j], weight, spare)
 
     for col in range(from_j - 1, to_m):
         # block col is pending from the second step on: size == col + 1
         basis[size] = op.apply(basis[col])
         v = flat[size]
         if size == from_j:
-            h[:size, col] = _sweep(v, flat[:size], d, work, prefix_solve, prefix_count)
+            h[:size, col] = _sweep(v, flat[:size], d, work, project)
             scale = 1.0
         else:
-            scale = _fused_step(flat, col, h, d, work, prefix_solve, prefix_count,
-                                BREAKDOWN_TOL * hmax)
+            scale = _fused_step(flat, col, h, d, work, project, BREAKDOWN_TOL * hmax)
             if scale is None:
                 breakdown = size = col
-                h = h[: col + 1, : col]
                 break
         nrm = _norm(v, d) / scale
         h[size, col] = nrm
@@ -260,48 +248,51 @@ def arnoldi_extend(basis, h_prefix, op, weight, spare=None):
         hmax = max(hmax, nrm, *map(abs, h[:size, col].tolist()))
         if nrm <= BREAKDOWN_TOL * hmax:
             breakdown = col + 1
-            h = h[: col + 2, : col + 1]
             break
         np.divide(v, nrm * scale, out=v)
         size += 1
     else:
         # the second sweep of the last block, alone
         v = flat[to_m]
-        a = _sweep(v, flat[:to_m], d, work, prefix_solve, prefix_count)
+        a = _sweep(v, flat[:to_m], d, work, project)
         nu2 = _norm(v, d)
         if _fold_second_sweep(h, to_m, a, nu2) <= BREAKDOWN_TOL * hmax:
             breakdown = size = to_m
         else:
             np.divide(v, nu2, out=v)
 
+    # size blocks after a breakdown, with the column of the last one; the
+    # slice keeps all of h after a full run, where size is to_m + 1
     view = basis[:size]
     view.flags.writeable = False
-    return ArnoldiDecomposition(view, h, breakdown)
+    return ArnoldiDecomposition(view, h[:size + 1, :size], breakdown)
 
 
 def _prefix_projector(prefix, weight, spare=None):
-    """Solver for the prefix Gram system, or None when the prefix is already
-    orthonormal in ``weight`` (then plain Gram-Schmidt suffices)."""
+    """Projector of the prefix Gram system (module docstring), or None when
+    the prefix is already orthonormal in ``weight``."""
     w = _weight_entries(weight, prefix.shape)
     weighted = prefix if w is None else np.multiply(
         w, prefix, out=None if spare is None else spare[:len(prefix)])
     gram = diamond_product(prefix, weighted, Weight.identity())
     if all(abs(x - (i == j)) <= 1e-12 for i, row in enumerate(gram.tolist())
            for j, x in enumerate(row)):
-        return None, 0
+        return None
     # scipy.linalg.cho_factor's and cho_solve's LAPACK calls and checks
     _finite_sumsq(gram, "prefix Gram matrix")
     (factor,), info = _lapack(dpotrf, gram, lower=0, clean=0)
-    if info:
-        # weight change made the prefix numerically dependent (its Gram matrix
-        # is not positive definite); fall back to a least-squares projection
-        return (lambda b: np.linalg.lstsq(gram, b, rcond=None)[0]), len(prefix)
 
-    def cho_solve(b):
-        _finite_sumsq(b, "right-hand side")
-        x, info = dpotrs(factor, b, lower=0)
+    def project(t):
+        b = t[:len(prefix)]
         if info:
-            raise ValueError(f"LAPACK reported an illegal value in argument {-info}")
-        return x
+            # the weight change made the prefix numerically dependent (its Gram
+            # matrix is not positive definite): a least-squares projection
+            b[...] = np.linalg.lstsq(gram, b, rcond=None)[0]
+            return
+        _finite_sumsq(b, "right-hand side")
+        x, err = dpotrs(factor, b, lower=0)
+        if err:
+            raise ValueError(f"LAPACK reported an illegal value in argument {-err}")
+        b[...] = x
 
-    return cho_solve, len(prefix)
+    return project

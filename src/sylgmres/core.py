@@ -59,11 +59,11 @@ _TINY = float(np.finfo(np.float64).tiny)
 _INF = math.inf
 
 
-def _root(sum_sq, y, val=None):
-    """sqrt(sum_sq(y)) for a sum of squares; one that under- or overflowed
-    (below the smallest normal float or inf) is redone on y / max|y|.
-    ``val``, if given, is sum_sq(y) already computed."""
-    val, t = sum_sq(y) if val is None else val, 1.0
+def _root(sum_sq, y, val):
+    """sqrt(val) for the sum of squares val = sum_sq(y); one that under- or
+    overflowed (below the smallest normal float or inf) is redone on
+    y / max|y|."""
+    t = 1.0
     if not _TINY <= val < _INF and 0.0 < (big := float(np.abs(y).max(initial=0.0))) < _INF:
         val, t = sum_sq(y / big), big
     # tiny negative values can appear through rounding in the einsum
@@ -222,15 +222,25 @@ def weighted_inner(y, z, weight):
     return float(np.einsum("ij,ij,ij->", w, y, z))
 
 
-def weighted_norm(y, weight):
-    """Norm induced by :func:`weighted_inner`, rescaled as in _root; zero
-    only for the zero block."""
-    y = np.asarray(y)
-    w = _weight_entries(weight, y.shape)
-    val = float(np.einsum("ij,ij->", y, y) if w is None else np.einsum("ij,ij,ij->", w, y, y))
+def _norm(v, d):
+    """Weighted 2-norm of the flat vector ``v`` under the flat weight ``d``
+    (None for the identity), summed in the order of ``v`` and rescaled as
+    in _root."""
+    val = float(np.einsum("i,i->", v, v) if d is None else np.einsum("i,i,i->", d, v, v))
     if _TINY <= val < _INF:
         return math.sqrt(val)
-    return _root(lambda v: weighted_inner(v, v, weight), y, val)
+    if d is None:
+        return _root(lambda u: float(np.einsum("i,i->", u, u)), v, val)
+    return _root(lambda u: float(np.einsum("i,i,i->", d, u, u)), v, val)
+
+
+def weighted_norm(y, weight):
+    """Norm induced by :func:`weighted_inner`, summed in C order whatever the
+    layout of ``y`` (as frob sums) and rescaled as in _root; zero only for
+    the zero block."""
+    y = np.asarray(y)
+    w = _weight_entries(weight, y.shape)
+    return _norm(np.ravel(y), None if w is None else w.reshape(-1))
 
 
 def diamond_product(u, v, weight):

@@ -49,7 +49,6 @@ __all__ = [
     "SolveReport",
     "CycleRecord",
     "CycleTrace",
-    "DeflationError",
     "wglgmres",
     "wglgmres_dr",
     "harmonic_pairs",
@@ -64,10 +63,6 @@ _INV_EIG_TOL = 1e-14
 # The restart residual must keep this fraction of its norm after
 # orthogonalization against the recycled directions to be usable.
 _RESTART_SPAN_TOL = 1e-12
-
-
-class DeflationError(RuntimeError):
-    """A deflated restart could not be built; the caller restarts plainly."""
 
 
 @dataclass(frozen=True)
@@ -175,7 +170,7 @@ def harmonic_pairs(h):
         mags = np.abs(inv_pairs.values)
         keep = mags > _INV_EIG_TOL * max(1.0, float(mags.max()))
         if not np.any(keep):
-            raise DeflationError("harmonic pencil has no finite eigenvalues")
+            raise np.linalg.LinAlgError("harmonic pencil has no finite eigenvalues")
         values = 1.0 / inv_pairs.values[keep]
         order = np.argsort(np.abs(values), kind="stable")
         return EigenPairSet(values[order], inv_pairs.vectors[:, keep][:, order])
@@ -200,7 +195,7 @@ def select_and_realify(pairs, k):
     cap = m - 2
     k_sel = min(k, len(values), cap) if cap >= 1 else 0
     if k_sel < 1:
-        raise DeflationError("no harmonic pairs available for deflation")
+        raise np.linalg.LinAlgError("no harmonic pairs available for deflation")
 
     vals = values.tolist()
     cols = []
@@ -218,12 +213,12 @@ def select_and_realify(pairs, k):
             k_sel += 1
         conj = complex(vals[i]).conjugate()  # np.isclose(., conj, rtol=1e-8, atol=0) on scalars
         if not abs(complex(vals[i + 1]) - conj) <= 1e-8 * abs(conj):
-            raise DeflationError("conjugate partner of a complex harmonic value is missing")
+            raise np.linalg.LinAlgError("conjugate partner of a complex harmonic value is missing")
         cols.append(vec.real)
         cols.append(vec.imag)
         i += 2
     if k_sel < 1:
-        raise DeflationError("conjugate-pair adjustment left nothing to deflate")
+        raise np.linalg.LinAlgError("conjugate-pair adjustment left nothing to deflate")
 
     # the columns of an F-ordered array, which LAPACK's QR takes without a copy
     return np.array(cols).T
@@ -241,28 +236,27 @@ def restart_subspace(dec, g_real, r, out=None):
     leading slots of ``out`` (a C-ordered float64 array of at least k+1
     blocks of the basis's block shape that must not overlap the basis;
     ValueError otherwise), or into a new array when it is None.
-    Raises DeflationError when the harmonic columns are rank deficient or
+    Raises LinAlgError when the harmonic columns are rank deficient or
     ``r`` already lies in their span.
     """
     qg = reduced_qr(g_real)
     kq = qg.shape[1]
     if kq == 0:
-        raise DeflationError("harmonic vectors are numerically rank deficient")
+        raise np.linalg.LinAlgError("harmonic vectors are numerically rank deficient")
     r = np.asarray(r, dtype=np.float64)
     rows = dec.h.shape[0]
     if r.shape != (rows,):
         raise ValueError(f"residual vector must have length {rows}, got {r.shape}")
 
-    q_ext = np.zeros((rows, kq))
-    q_ext[: qg.shape[0], :] = qg
+    q = np.zeros((rows, kq + 1))
+    q[: qg.shape[0], :kq] = qg
+    q_ext = q[:, :kq]
     v = r.copy()
     for _ in range(2):
         v -= q_ext @ (q_ext.T @ v)
     nrm = frob(v)
     if nrm <= _RESTART_SPAN_TOL * frob(r):
-        raise DeflationError("residual direction already lies in the recycled span")
-    q = np.empty((rows, kq + 1))
-    q[:, :kq] = q_ext
+        raise np.linalg.LinAlgError("residual direction already lies in the recycled span")
     np.divide(v, nrm, out=q[:, kq])
 
     new_h = q.T @ dec.h @ qg
@@ -411,7 +405,7 @@ def wglgmres_dr(op, c, cfg, x0=None):
                 g_real = select_and_realify(harmonic_pairs(dec.h), cfg.k)
                 _, new_h, q = restart_subspace(dec, g_real, sol.residual, spare)
                 prefix = (new_h, q.T @ sol.residual)
-            except (DeflationError, np.linalg.LinAlgError) as exc:
+            except np.linalg.LinAlgError as exc:
                 events.append(f"cycle {cycle}: deflation skipped ({exc})")
         if prefix is not None:
             out, spare = spare, out

@@ -64,8 +64,8 @@ def _floored(values, shape, tag, mx=None):
     if mx <= 0.0:
         return Weight.identity(tag=f"identity[degenerate:{tag}]")
     floor = FLOOR_REL * mx
-    if not (floor > 0.0 and mx < np.inf):  # NaN fails too: Weight() names the fault
-        return Weight(np.broadcast_to(np.maximum(values, floor), shape), tag)
+    if not (floor > 0.0 and mx < np.inf):  # NaN fails too
+        raise ValueError("weight entries must be finite and > 0")
     # every entry now lies in [floor, mx], so the checks of Weight() would pass
     data = np.maximum(values, floor, out=np.empty(shape))
     data.flags.writeable = False

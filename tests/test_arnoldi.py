@@ -1,11 +1,13 @@
 """Weighted global Arnoldi process."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import sylgmres.arnoldi as arnoldi_mod
 from sylgmres import SylvesterOperator, WeightStrategy
 from sylgmres.arnoldi import (
     _fused_step,
@@ -386,7 +388,7 @@ class TestExtendReference:
         weight = _weights_for(rng, 12, 3)[kind]
         if path == "mixed":
             # the new weight leaves the prefix non-orthonormal: the oblique path runs
-            assert _prefix_projector(blocks, weight)[1] == len(blocks)
+            assert _prefix_projector(blocks, weight) is not None
         ext = extend_copy(blocks, h_prefix, op, weight, 6)
         basis_ref, h_ref = mgs_extend(blocks, h_prefix, op, weight, 6)
         assert ext.breakdown is None
@@ -460,7 +462,7 @@ class TestClusteredSpectrum:
         blocks, new_h = _deflated_prefix(rng, op, 3, 1)
         weight = self._weights(rng)[kind]
         p = len(blocks)
-        assert _prefix_projector(np.asarray(blocks), weight)[1] == p
+        assert _prefix_projector(np.asarray(blocks), weight) is not None
         ext = extend_copy(blocks, new_h, op, weight, self.M)
         assert ext.breakdown is None
         fresh = ext.basis[p:]
@@ -482,11 +484,65 @@ def test_pending_block_inside_span_breaks_down():
     h[:2, 0] = 2.0, 1.0
     h[:3, 1] = 0.5, 0.5, 1e-12
     kept_flat, kept_h = flat.copy(), h.copy()
-    assert _fused_step(flat, 2, h, None, np.empty((2, 16)), None, 0, 1e-14) is None
+    assert _fused_step(flat, 2, h, None, np.empty((2, 16)), None, 1e-14) is None
     assert np.array_equal(flat, kept_flat)
     assert h[2, 1] <= 1e-14
     # the second sweep's coefficients a = (1, 0) moved into column 1
     assert np.abs(h[:2, 1] - (kept_h[:2, 1] + [1e-12, 0.0])).max() <= 1e-27
+
+
+class TestSecondSweepBreakdownExits:
+    """The two exits of arnoldi_extend after a block's second sweep: the
+    fused step finds the pending block dependent, or the lone sweep of the
+    last block does.  The patched run cuts a full run short, so its basis and
+    recurrence are that run's leading blocks and columns, bitwise."""
+
+    M = 6
+
+    @staticmethod
+    def _check_cut(op, weight, full, dec, cut):
+        assert dec.breakdown == cut
+        assert len(dec.basis) == cut
+        assert dec.h.shape == (len(dec.basis) + 1, len(dec.basis))
+        assert np.array_equal(dec.h, full.h[:cut + 1, :cut])
+        assert np.array_equal(dec.basis, full.basis[:cut])
+        # the last column needs the dropped block; the columns before it hold
+        assert (relation_residual(op, replace(dec, h=dec.h[:, :cut - 1]))
+                <= 1e-12 * op.frobenius_scale())
+        g = diamond_product(dec.basis, dec.basis, weight)
+        assert np.abs(g - np.eye(cut)).max() <= 1e-12
+
+    @pytest.mark.parametrize("cut", [1, 3, 5])
+    @pytest.mark.parametrize("kind", ["identity", "diagonal", "elementwise"])
+    def test_fused_step_exit(self, cut, kind, rng, monkeypatch):
+        op = random_operator(rng, 10, 2)
+        v = random_block(rng, 10, 2)
+        weight = _weights_for(rng, 10, 2)[kind]
+        full = arnoldi_run(op, v, weight, self.M)
+        fused = arnoldi_mod._fused_step
+
+        def dependent_at_cut(flat, p, *args):
+            # an infinite floor: the pending block of step ``cut`` is dependent
+            return fused(flat, p, *args[:-1], math.inf if p == cut else args[-1])
+
+        monkeypatch.setattr(arnoldi_mod, "_fused_step", dependent_at_cut)
+        self._check_cut(op, weight, full, arnoldi_run(op, v, weight, self.M), cut)
+
+    @pytest.mark.parametrize("kind", ["identity", "diagonal", "elementwise"])
+    def test_last_lone_sweep_exit(self, kind, rng, monkeypatch):
+        op = random_operator(rng, 10, 2)
+        v = random_block(rng, 10, 2)
+        weight = _weights_for(rng, 10, 2)[kind]
+        full = arnoldi_run(op, v, weight, self.M)
+        fold = arnoldi_mod._fold_second_sweep
+
+        def dependent_last(h, p, a, nu2):
+            # the fold runs; only the lone sweep of the last block sees a zero
+            nu = fold(h, p, a, nu2)
+            return 0.0 if p == self.M else nu
+
+        monkeypatch.setattr(arnoldi_mod, "_fold_second_sweep", dependent_last)
+        self._check_cut(op, weight, full, arnoldi_run(op, v, weight, self.M), self.M)
 
 
 class TestPrefixProjector:
@@ -502,16 +558,20 @@ class TestPrefixProjector:
         blocks, _ = _deflated_prefix(rng, op, 6, 2)
         prefix = np.asarray(blocks)
         weight = _weights_for(rng, 12, 3)[kind]
-        solve, count = _prefix_projector(prefix, weight)
-        assert count == len(prefix)
+        project = _prefix_projector(prefix, weight)
+        count = len(prefix)
         factor = scipy.linalg.cho_factor(diamond_product(prefix, prefix, weight))
-        # a coefficient vector of _sweep and the coefficient pair of _fused_step
-        b1 = rng.standard_normal(count)
-        b2 = rng.standard_normal((count, 2))
+        # a coefficient vector of _sweep and the coefficient pairs of
+        # _fused_step, with two rows after the prefix that stay as they are
+        b1 = rng.standard_normal(count + 2)
+        b2 = rng.standard_normal((count + 2, 2))
         for b in (b1, b2, np.asfortranarray(b2)):
-            assert np.array_equal(solve(b), scipy.linalg.cho_solve(factor, b))
+            t = b.copy(order="A")
+            project(t)
+            assert np.array_equal(t[:count], scipy.linalg.cho_solve(factor, b[:count]))
+            assert np.array_equal(t[count:], b[count:])
         with pytest.raises(ValueError):
-            solve(np.full(count, np.nan))
+            project(np.full(count, np.nan))
 
     def test_non_finite_gram_raises(self, rng):
         prefix = rng.standard_normal((2, 6, 2))
@@ -530,13 +590,24 @@ class TestPrefixProjector:
         gram = diamond_product(prefix, prefix, weight)
         with pytest.raises(np.linalg.LinAlgError):
             scipy.linalg.cho_factor(gram)
-        solve, count = _prefix_projector(prefix, weight)
-        assert count == 2
-        b = rng.standard_normal(2)
-        assert np.array_equal(solve(b), np.linalg.lstsq(gram, b, rcond=None)[0])
+        project = _prefix_projector(prefix, weight)
+        b = rng.standard_normal(3)
+        t = b.copy()
+        project(t)
+        assert np.array_equal(t[:2], np.linalg.lstsq(gram, b[:2], rcond=None)[0])
+        assert t[2] == b[2]
 
         ext = extend_copy(prefix, np.zeros((2, 1)), op, weight, 6)
         assert ext.breakdown is None
         assert len(ext.basis) == 7
         assert np.isfinite(ext.h).all()
         assert relation_residual(op, ext, first=1) <= 1e-10 * op.frobenius_scale()
+
+
+@pytest.mark.parametrize("m, v, message", [
+    (0, np.ones((5, 2)), "step count m must be >= 1"),
+    (3, np.ones((2, 5)), r"start block shape \(2, 5\) does not match operator \(5, 2\)"),
+])
+def test_input_refusals(m, v, message, rng):
+    with pytest.raises(ValueError, match=message):
+        arnoldi_run(random_operator(rng, 5, 2), v, Weight.identity(), m)

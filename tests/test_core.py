@@ -171,6 +171,15 @@ class TestWeightedNorm:
             assert frob(block) == float(np.linalg.norm(np.ascontiguousarray(block)))
         assert weighted_norm(y, w) == float(np.sqrt(np.einsum("ij,ij,ij->", w.data, y, y)))
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-170, 1e200])
+    def test_sums_in_c_order_whatever_the_layout(self, rng, scale):
+        # an F-ordered block gives the norm of its C-ordered copy, as in frob
+        for _ in range(20):
+            y = scale * rng.standard_normal((13, 5))
+            for w in (Weight.identity(), Weight.diagonal(rng.uniform(0.5, 2.0, 13), 5),
+                      Weight(rng.uniform(0.5, 2.0, (13, 5)))):
+                assert weighted_norm(np.asfortranarray(y), w) == weighted_norm(y, w)
+
     def test_infinite_block_has_infinite_norm(self):
         y = np.ones((3, 2))
         y[0, 1] = np.inf
@@ -312,3 +321,8 @@ class TestAsBlock:
             b = as_block(x)
             assert b.flags.c_contiguous and b.dtype == np.float64
             assert np.array_equal(b, x)
+
+
+def test_input_refusals():
+    with pytest.raises(ValueError, match=r"B must be square, got \(2, 3\)"):
+        SylvesterOperator(np.eye(4), np.ones((2, 3)))

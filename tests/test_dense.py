@@ -498,3 +498,15 @@ class TestRetainedChecks:
     @pytest.mark.parametrize("shape", [(5, 3), (6, 6), (4, 1)])
     def test_reduced_qr_rank_zero(self, shape):
         assert reduced_qr(np.zeros(shape)).shape == (shape[0], 0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: reduced_qr(np.ones(3)), "expected a 2-d matrix"),
+    (lambda: small_eig(np.zeros((0, 0))), "matrix must be at least 1 x 1"),
+    (lambda: small_solve(np.ones((2, 3)), np.ones(2)), r"expected a square matrix, got \(2, 3\)"),
+    (lambda: small_solve(np.eye(3), np.ones(2)),
+     r"right-hand side rows 2 do not match matrix \(3, 3\)"),
+])
+def test_input_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

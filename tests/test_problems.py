@@ -251,3 +251,10 @@ class TestKronSolve:
         c = random_block(rng, 12, 3)
         vec = scipy.linalg.lu_solve(scipy.linalg.lu_factor(kron_matrix(op)), c.ravel(order="F"))
         assert np.array_equal(kron_solve(op, c), vec.reshape(op.shape, order="F"))
+
+
+def test_input_refusals(rng):
+    op = random_operator(rng, 4, 2)
+    with pytest.raises(ValueError,
+                       match=r"right-hand side shape \(2, 4\) does not match operator \(4, 2\)"):
+        kron_solve(op, np.ones((2, 4)))

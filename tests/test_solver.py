@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from sylgmres import (
     SolverConfig,
@@ -23,10 +24,10 @@ from sylgmres.core import (Weight, apply_sylvester, as_block, diamond_product, f
                            weighted_inner, weighted_norm)
 from sylgmres.dense import EigenPairSet, hessenberg_lsq
 from sylgmres.problems import FdmSpec, fdm_matrix, gen_rhs
-from sylgmres.solver import DeflationError, restart_subspace, select_and_realify
+from sylgmres.solver import restart_subspace, select_and_realify
 from sylgmres.weighting import STRATEGY_KINDS, make_weight
 
-from conftest import random_block, random_operator
+from conftest import random_block, random_hessenberg, random_operator
 
 
 def run_one_cycle(rng, n=10, s=2, m=6, weight=None):
@@ -308,14 +309,14 @@ class TestRestartSubspace:
         g_real = select_and_realify(harmonic_pairs(dec.h), 2)
         blocks, new_h, q = restart_subspace(dec, g_real, sol.residual)
         inside = q[:, 0] * 0.3 - 0.7 * q[:, 1]  # lies in the recycled span
-        with pytest.raises(DeflationError):
+        with pytest.raises(np.linalg.LinAlgError):
             restart_subspace(dec, g_real, inside)
 
     def test_rank_zero_harmonic_columns_rejected(self, rng):
         # reduced_qr keeps no column of an all-zero set: its q is m x 0
         op, c, w, beta, dec, sol = run_one_cycle(rng, m=6)
         g_real = select_and_realify(harmonic_pairs(dec.h), 2)
-        with pytest.raises(DeflationError, match="rank deficient"):
+        with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
             restart_subspace(dec, np.zeros_like(g_real), sol.residual)
 
     @pytest.mark.parametrize("scale", [1e-200, 1e200])
@@ -602,6 +603,19 @@ class TestWglgmresDr:
         with pytest.raises(ValueError):
             SolverConfig(m=4, tol=0.0)
 
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_zero_operator_takes_the_degenerate_least_squares_path(self, k, rng):
+        # op(V_1) = 0: the first step breaks down with h = 0, so the projected
+        # problem has no full-rank column and every cycle leaves x at 0
+        op = SylvesterOperator(sp.csr_array((6, 6)), sp.csr_array((2, 2)))
+        rep = wglgmres_dr(op, random_block(rng, 6, 2), SolverConfig(m=5, k=k, maxit=2))
+        assert rep.breakdowns == [event for cycle in (1, 2) for event in (
+            f"cycle {cycle}: invariant subspace at step 1",
+            f"cycle {cycle}: degenerate projected least-squares")]
+        assert not rep.x.any()
+        assert [r.est_resnorm for r in rep.history] == [1.0, 1.0]
+        assert rep.cycles == 2 and not rep.converged
+
     def test_unconverged_report_is_honest(self, rng):
         # a deliberately starved run must come back flagged, with the true
         # residual matching a recomputation from the returned iterate
@@ -780,3 +794,23 @@ class TestBasisWorkspaces:
                 lhs = apply_sylvester(op, basis[j])
                 rhs = np.tensordot(h[:, j], basis, axes=1)
                 assert frob(lhs - rhs) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda rng: SolverConfig(m=4, k=-1), "deflation count k must be >= 0"),
+    (lambda rng: SolverConfig(m=4, maxit=0), "maxit must be >= 1"),
+    (lambda rng: wglgmres_dr(random_operator(rng, 6, 2), np.zeros((6, 2)), SolverConfig(m=4),
+                             x0=np.ones((6, 2))),
+     "zero right-hand side with a nonzero initial residual"),
+    (lambda rng: wglgmres_dr(random_operator(rng, 6, 2), np.ones((6, 3)), SolverConfig(m=4)),
+     r"right-hand side shape \(6, 3\) does not match operator \(6, 2\)"),
+    (lambda rng: wglgmres_dr(random_operator(rng, 6, 2), np.ones((6, 2)), SolverConfig(m=4),
+                             x0=np.ones((2, 6))),
+     r"initial guess shape \(2, 6\) does not match operator \(6, 2\)"),
+    (lambda rng: harmonic_pairs(np.eye(3)), r"expected an \(m\+1\) x m matrix, got \(3, 3\)"),
+    (lambda rng: select_and_realify(harmonic_pairs(random_hessenberg(rng, 5)), 0),
+     "selection count k must be >= 1"),
+])
+def test_input_refusals(call, message, rng):
+    with pytest.raises(ValueError, match=message):
+        call(rng)

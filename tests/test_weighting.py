@@ -106,6 +106,18 @@ class TestFlooringAndDegeneracy:
         assert w.data is None
         assert w.tag == "identity[degenerate:mean]"
 
+    def test_exactly_zero_column_degrades_min_col_to_identity(self):
+        # the smallest column norm is 0: no column can be normalized
+        r = np.array([[3.0, 0.0], [-2.0, 0.0], [1.0, 0.0]])
+        w = make_weight(WeightStrategy("min-col"), residual=r)
+        assert w.data is None and w.tag == "identity[degenerate:min-col]"
+
+    def test_exactly_cancelling_rows_degrade_mean_to_identity(self):
+        # every row mean is exactly 0 although the residual is not small
+        r = np.array([[1.0, -1.0], [2.0, -2.0]])
+        w = make_weight(WeightStrategy("mean"), residual=r)
+        assert w.data is None and w.tag == "identity[degenerate:mean]"
+
     def test_tiny_residual_degrades_to_identity(self):
         r = np.full((4, 2), 1e-310)
         w = make_weight(WeightStrategy("max-col"), residual=r)
@@ -170,3 +182,8 @@ class TestInvariants:
             make_weight(WeightStrategy("mean"))
         with pytest.raises(ValueError):
             make_weight(WeightStrategy("hadamard"))
+
+
+def test_input_refusals():
+    with pytest.raises(ValueError, match="residual must be an n x s block"):
+        make_weight(WeightStrategy("mean"), residual=np.ones(4))

@@ -26,6 +26,15 @@ pending block gets its second sweep alone, so a cycle ends one sweep late.
 Breakdown is tested on the one-sweep norm of each new block, and again on
 the corrected subdiagonal once its second sweep has run.
 
+The fused update runs in place: one BLAS dgemm with alpha = -1 and beta = 1
+subtracts the product from the two blocks, where a product into scratch and a
+subtract would write it out and read it back.  It is bitwise the same: the
+product has p + 1 <= m + 1 terms per entry, well below one block of the
+kernel's inner dimension, so each entry's sum is complete before -1 times it
+(exact) is added to the block, and the difference is rounded once, as the
+subtract rounds it.  The lone sweeps keep their GEMV update, whose beta = 1
+form would add partial sums into the vector one column chunk at a time.
+
 The process can also continue from a retained prefix (the deflated-restart
 case): new blocks are orthogonalized against every existing block in the
 *current* weight while the prefix itself is never touched, so a basis built
@@ -58,6 +67,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 # weighted_inner is no longer called here; it stays importable from this
@@ -165,7 +175,9 @@ def _fused_step(flat, p, h, d, work, project, floor):
     s[p, 0] = 1.0 - 1.0 / nu2
     s[p, 1] = r
     a /= nu2
-    np.subtract(pair, np.matmul(s.T, flat[:p + 1], out=work), out=pair)
+    # pair -= s.T @ V_<=p in place (module docstring): C = -A B^T + C on the
+    # F-ordered transposes, none of which is copied
+    dgemm(-1.0, flat[:p + 1].T, s.T, 1.0, pair.T, overwrite_c=1, trans_b=1)
     return nu2
 
 

@@ -19,6 +19,7 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvecs
 
 __all__ = [
     "Weight",
@@ -185,7 +186,12 @@ class SylvesterOperator:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n, self.s):
             raise ValueError(f"block shape {x.shape} does not match operator {self.shape}")
-        y = self.a @ x
+        # A X by scipy's CSR kernel _sparsetools.csr_matvecs on a zeroed
+        # C-ordered output, as self.a @ x runs it, without the dispatch
+        # around it; tests/test_core.py pins it to that product bitwise
+        a = self.a
+        y = np.zeros((self.n, self.s))
+        csr_matvecs(self.n, self.n, self.s, a.indptr, a.indices, a.data, x.ravel(), y.ravel())
         y += x @ (self.b if self.b_dense is None else self.b_dense)
         return y
 

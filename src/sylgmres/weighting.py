@@ -12,7 +12,8 @@ every restart:
 never updates it; ``random`` draws one positive diagonal per solve from a
 seeded generator.  Every produced weight is floored at ``FLOOR_REL`` times
 its largest entry, so the inner product stays positive definite even for
-residuals with exact zeros.
+residuals with exact zeros; where that floor underflows to 0 (a largest
+entry below about 2.5e-312), the weight degrades to the identity.
 """
 
 from __future__ import annotations
@@ -58,14 +59,14 @@ class WeightStrategy:
 def _floored(values, shape, tag, mx=None):
     """The weight on blocks of ``shape`` with entries ``values`` (n x s, or an
     n x 1 diagonal; none negative) floored at ``FLOOR_REL`` times their
-    largest ``mx``, if positive."""
+    largest ``mx``; the identity, tagged degenerate, if that floor is 0."""
     if mx is None:
         mx = float(values.max()) if values.size else 0.0
-    if mx <= 0.0:
-        return Weight.identity(tag=f"identity[degenerate:{tag}]")
-    floor = FLOOR_REL * mx
-    if not (floor > 0.0 and mx < np.inf):  # NaN fails too
+    if not mx < np.inf:  # NaN fails too
         raise ValueError("weight entries must be finite and > 0")
+    floor = FLOOR_REL * mx
+    if floor == 0.0:  # mx is 0, or so small that the floor underflows
+        return Weight.identity(tag=f"identity[degenerate:{tag}]")
     # every entry now lies in [floor, mx], so the checks of Weight() would pass
     data = np.maximum(values, floor, out=np.empty(shape))
     data.flags.writeable = False

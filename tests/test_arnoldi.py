@@ -545,6 +545,64 @@ class TestSecondSweepBreakdownExits:
         self._check_cut(op, weight, full, arnoldi_run(op, v, weight, self.M), self.M)
 
 
+def two_call_fused_step(flat, p, h, d, work, project, floor):
+    """Reference: _fused_step with its update as a product into ``work``
+    followed by a subtract, the form the in-place dgemm replaced."""
+    pair = flat[p:p + 2]
+    weighted = pair if d is None else np.multiply(d, pair, out=work)
+    s = flat[:p + 1] @ weighted.T
+    raw = s[:p]
+    if project is not None:
+        raw = raw.copy()
+        project(s)
+    a = s[:p, 0]
+    aa, ab = (a @ raw).tolist()
+    gamma, omega = s[p].tolist()
+    nu2 = math.sqrt(max(gamma - aa, 0.0))
+    if arnoldi_mod._fold_second_sweep(h, p, a, nu2) <= floor:
+        return None
+    c = (omega - ab) / nu2
+    s[p, 1] = c
+    hcol = h[:p + 1, p]
+    np.subtract(s[:, 1], np.matmul(h[:p + 1, :p], a), out=hcol)
+    np.divide(hcol, nu2, out=hcol)
+    r = c / nu2
+    s[:p, 1] -= r * a
+    s[p, 0] = 1.0 - 1.0 / nu2
+    s[p, 1] = r
+    a /= nu2
+    np.subtract(pair, np.matmul(s.T, flat[:p + 1], out=work), out=pair)
+    return nu2
+
+
+class TestInPlaceUpdate:
+    """The fused step subtracts its update from the basis in place through
+    one dgemm with beta = 1.  Basis and recurrence must be those of the
+    product-then-subtract update bitwise; a dgemm that worked on a copy of
+    the basis (f2py copies an output that is not F-contiguous) would leave
+    the basis unswept and fail here too."""
+
+    @pytest.mark.parametrize("n, s, m", [(12, 3, 6), (400, 4, 10)])
+    @pytest.mark.parametrize("path", ["fresh", "mixed"])
+    @pytest.mark.parametrize("kind", ["identity", "diagonal", "elementwise"])
+    def test_matches_two_call_update_bitwise(self, n, s, m, path, kind, rng, monkeypatch):
+        op = random_operator(rng, n, s)
+        weight = _weights_for(rng, n, s)[kind]
+        if path == "fresh":
+            v = random_block(rng, n, s)
+            blocks, h_prefix = (v / frob(v))[None], np.zeros((1, 0))
+        else:
+            blocks, h_prefix = _deflated_prefix(rng, op, m, 2)
+            # the new weight leaves the prefix non-orthonormal: the projector runs
+            assert _prefix_projector(np.asarray(blocks), weight) is not None
+        ext = extend_copy(blocks, h_prefix, op, weight, m)
+        monkeypatch.setattr(arnoldi_mod, "_fused_step", two_call_fused_step)
+        ref = extend_copy(blocks, h_prefix, op, weight, m)
+        assert ext.breakdown is ref.breakdown is None
+        assert ext.basis.tobytes() == ref.basis.tobytes()
+        assert ext.h.tobytes() == ref.h.tobytes()
+
+
 class TestPrefixProjector:
     """The prefix Gram solve: LAPACK's potrf/potrs as scipy.linalg.cho_factor
     and cho_solve call them, and the least-squares fallback when the Gram

@@ -50,6 +50,30 @@ class TestApplySylvester:
         expect = a @ x + x @ b.toarray()
         assert np.linalg.norm(op.apply(x) - expect) <= 1e-13 * np.linalg.norm(expect)
 
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided", "integer", "nan"])
+    @pytest.mark.parametrize("s", [1, 3, DENSE_B_MAX_S, DENSE_B_MAX_S + 1])
+    def test_apply_is_the_product_it_replaces_bitwise(self, s, layout, index_dtype, rng):
+        # apply runs scipy's CSR kernel itself; a scipy release whose kernel
+        # or dispatch differs from it fails here
+        n = 30
+        op = random_operator(rng, n, s, density=0.2)
+        op.a.indices = op.a.indices.astype(index_dtype)
+        op.a.indptr = op.a.indptr.astype(index_dtype)
+        x = rng.standard_normal((n, s))
+        if layout == "F":
+            x = np.asfortranarray(x)
+        elif layout == "strided":
+            x = rng.standard_normal((2 * n, 3 * s))[::2, ::3]
+        elif layout == "integer":
+            x = rng.integers(-50, 50, (n, s))
+        elif layout == "nan":
+            x[n // 2, s // 2] = np.nan
+        xf = np.asarray(x, dtype=np.float64)
+        expect = op.a @ xf + xf @ (op.b if op.b_dense is None else op.b_dense)
+        assert op.a.indices.dtype == op.a.indptr.dtype == index_dtype
+        assert op.apply(x).tobytes() == expect.tobytes()
+
     def test_dimension_mismatch(self, rng):
         op = random_operator(rng, 4, 2)
         with pytest.raises(ValueError):

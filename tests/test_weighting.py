@@ -118,6 +118,14 @@ class TestFlooringAndDegeneracy:
         w = make_weight(WeightStrategy("mean"), residual=r)
         assert w.data is None and w.tag == "identity[degenerate:mean]"
 
+    @pytest.mark.parametrize("tiny", [1e-312, 4e-312])
+    def test_subnormal_row_means_degrade_mean_to_identity(self, tiny):
+        # max |r| = 1, but the largest row mean is subnormal: FLOOR_REL times
+        # it underflows to 0, which no weight entry may be
+        r = np.array([[1.0, -1.0], [tiny, 0.0]])
+        w = make_weight(WeightStrategy("mean"), residual=r)
+        assert w.data is None and w.tag == "identity[degenerate:mean]"
+
     def test_tiny_residual_degrades_to_identity(self):
         r = np.full((4, 2), 1e-310)
         w = make_weight(WeightStrategy("max-col"), residual=r)

@@ -56,9 +56,9 @@ writable.
 arnoldi_extend checks its workspaces and the prefix shape once per call; the
 steps themselves scan nothing.  A NaN or inf the operator produces lands in
 the recurrence matrix, whose finiteness ``dense.hessenberg_lsq`` checks
-before the solver uses it (ValueError).  The prefix Gram solve checks its
-right-hand side with one sum of squares, scanning the entries only when that
-sum is not finite, as the dense kernels do.
+before the solver uses it (ValueError).  That is the one gate: the prefix
+Gram solve passes a NaN in its right-hand side on into the coefficients, and
+from there into the recurrence matrix.
 """
 
 from __future__ import annotations
@@ -301,10 +301,7 @@ def _prefix_projector(prefix, weight, spare=None):
             # matrix is not positive definite): a least-squares projection
             b[...] = np.linalg.lstsq(gram, b, rcond=None)[0]
             return
-        _finite_sumsq(b, "right-hand side")
-        x, err = dpotrs(factor, b, lower=0)
-        if err:
-            raise ValueError(f"LAPACK reported an illegal value in argument {-err}")
+        (x,), _ = _lapack(dpotrs, factor, b, lower=0)
         b[...] = x
 
     return project

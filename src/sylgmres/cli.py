@@ -29,7 +29,6 @@ import numpy as np
 from .core import SylvesterOperator
 from .problems import (
     FdmSpec,
-    MatrixMarketError,
     fdm_matrix,
     gen_rhs,
     read_matrix_market,
@@ -112,14 +111,11 @@ class ExperimentConfig:
             raise UsageError(f"variant {self.variant} needs a deflation count --k >= 1")
         if not self.variant.endswith("-d") and self.k != 0:
             raise UsageError(f"variant {self.variant} does not deflate; set --k 0")
-        if self.matrix_a is None and self.preset_a not in COEFFICIENT_PRESETS:
-            raise UsageError(
-                f"unknown preset {self.preset_a!r}; choose one of {', '.join(COEFFICIENT_PRESETS)}"
-            )
-        if self.matrix_b is None and self.preset_b not in COEFFICIENT_PRESETS:
-            raise UsageError(
-                f"unknown preset {self.preset_b!r}; choose one of {', '.join(COEFFICIENT_PRESETS)}"
-            )
+        for matrix, preset in ((self.matrix_a, self.preset_a), (self.matrix_b, self.preset_b)):
+            if matrix is None and preset not in COEFFICIENT_PRESETS:
+                raise UsageError(
+                    f"unknown preset {preset!r}; choose one of {', '.join(COEFFICIENT_PRESETS)}"
+                )
 
     def label(self):
         return f"{self.variant}_{self.strategy}_m{self.m}_k{self.k}"
@@ -147,36 +143,36 @@ def _solver_config(cfg):
     return SolverConfig(m=cfg.m, k=cfg.k, tol=cfg.tol, maxit=cfg.maxit, strategy=strategy)
 
 
-def _write_history(report, path):
+def _write_csv(path, header, rows):
     with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(HISTORY_HEADER)
-        for rec in report.history:
-            writer.writerow([rec.cycle, rec.cumulative_iter, repr(rec.est_resnorm),
-                             repr(rec.true_resnorm), rec.weight_tag, f"{rec.wall_s:.6f}"])
+        csv.writer(fh).writerows([header, *rows])
+
+
+def _write_history(report, path):
+    _write_csv(path, HISTORY_HEADER,
+               ([rec.cycle, rec.cumulative_iter, repr(rec.est_resnorm),
+                 repr(rec.true_resnorm), rec.weight_tag, f"{rec.wall_s:.6f}"]
+                for rec in report.history))
 
 
 def _summary_row(cfg, report):
-    return {
-        "variant": cfg.variant,
-        "strategy": cfg.strategy,
-        "m": cfg.m,
-        "k": cfg.k,
-        "iter": report.cycles,
-        "res_norm": report.true_resnorm,
-        "cpu_s": report.wall_time,
-        "converged": report.converged,
-    }
+    # keyed by the summary file's column names, in its column order
+    return dict(zip(SUMMARY_HEADER, [cfg.variant, cfg.strategy, cfg.m, cfg.k, report.cycles,
+                                     report.true_resnorm, report.wall_time, report.converged]))
 
 
 def _write_summary(rows, path):
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_HEADER)
-        for row in rows:
-            writer.writerow([row["variant"], row["strategy"], row["m"], row["k"],
-                             row["iter"], repr(row["res_norm"]), f"{row['cpu_s']:.4f}",
-                             int(row["converged"])])
+    _write_csv(path, SUMMARY_HEADER,
+               ([row["variant"], row["strategy"], row["m"], row["k"], row["iter"],
+                 repr(row["res_norm"]), f"{row['cpu_s']:.4f}", int(row["converged"])]
+                for row in rows))
+
+
+def _out_dir(path):
+    """The output directory ``path``, created if it does not exist."""
+    out_dir = Path(path)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
 
 
 def run_experiment(cfg):
@@ -185,15 +181,12 @@ def run_experiment(cfg):
     Returns ``(report, files)`` where ``files`` maps the emitted kinds to
     their paths.  The initial guess is always the zero block.
     """
-    cfg.validate()
-    report = wglgmres_dr(*build_problem(cfg), _solver_config(cfg))
-
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    rows, (report,) = compare_variants([cfg])
+    out_dir = _out_dir(cfg.out)
     history_path = out_dir / "history.csv"
     summary_path = out_dir / "summary.csv"
     _write_history(report, history_path)
-    _write_summary([_summary_row(cfg, report)], summary_path)
+    _write_summary(rows, summary_path)
     return report, {"history": str(history_path), "summary": str(summary_path)}
 
 
@@ -305,10 +298,8 @@ def _config_from_args(args):
         flag = getattr(args, name, None)
         if flag is not None:
             values[name] = flag
-    try:
-        return ExperimentConfig(**values)
-    except TypeError as exc:
-        raise UsageError(str(exc)) from exc
+    # values holds field names only: unknown config keys were refused above
+    return ExperimentConfig(**values)
 
 
 def main(argv=None):
@@ -327,7 +318,7 @@ def main(argv=None):
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_compare(args)
-    except (UsageError, MatrixMarketError, ValueError) as exc:
+    except (ValueError, OSError) as exc:  # UsageError and MatrixMarketError too
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -353,8 +344,7 @@ def _cmd_compare(args):
         cfgs.append(replace(base, variant=variant, strategy=strategy, k=k))
     rows, reports = compare_variants(cfgs)
 
-    out_dir = Path(base.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(base.out)
     _write_summary(rows, out_dir / "comparison.csv")
     for cfg, report in zip(cfgs, reports):
         _write_history(report, out_dir / f"history_{cfg.label()}.csv")

@@ -130,10 +130,9 @@ def hessenberg_lsq(h, c):
         y = np.linalg.lstsq(np.triu(qr[:m]), g[:m], rcond=None)[0]
     elif m:
         # solve_triangular's call for a C-ordered R: the transposed system on
-        # R^T, whose upper part (the reflectors) LAPACK does not read
-        (y,), info = _lapack(dtrtrs, qr[:m].T, g[:m], lower=1, trans=1)
-        if info:
-            raise np.linalg.LinAlgError(f"singular matrix: diagonal {info - 1} is zero")
+        # R^T, whose upper part (the reflectors) LAPACK does not read; every
+        # diagonal entry exceeds tol >= 0 here, so R is not singular
+        (y,), _ = _lapack(dtrtrs, qr[:m].T, g[:m], lower=1, trans=1)
     else:
         y = np.empty(0)
     residual = c - h @ y

@@ -101,25 +101,12 @@ def fdm_matrix(spec):
     cols = [idx]
     vals = [-4.0 * lap - f3]
 
-    east = ix < n0 - 1
-    rows.append(idx[east])
-    cols.append(idx[east] + 1)
-    vals.append(lap - f1[east] / (2.0 * h))
-
-    west = ix > 0
-    rows.append(idx[west])
-    cols.append(idx[west] - 1)
-    vals.append(lap + f1[west] / (2.0 * h))
-
-    north = iy < n0 - 1
-    rows.append(idx[north])
-    cols.append(idx[north] + n0)
-    vals.append(lap - f2[north] / (2.0 * h))
-
-    south = iy > 0
-    rows.append(idx[south])
-    cols.append(idx[south] - n0)
-    vals.append(lap + f2[south] / (2.0 * h))
+    # east, west, north and south couplings lap -+ f/(2h)
+    for keep, offset, f, op in ((ix < n0 - 1, 1, f1, np.subtract), (ix > 0, -1, f1, np.add),
+                                (iy < n0 - 1, n0, f2, np.subtract), (iy > 0, -n0, f2, np.add)):
+        rows.append(idx[keep])
+        cols.append(idx[keep] + offset)
+        vals.append(op(lap, f[keep] / (2.0 * h)))
 
     coo = sp.coo_array(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -132,18 +119,14 @@ def _parse_header(path, line):
     parts = line.strip().split()
     if len(parts) != 5 or parts[0] != "%%MatrixMarket":
         raise MatrixMarketError(path, 1, "expected '%%MatrixMarket matrix coordinate real <symmetry>' header")
-    obj, fmt, fieldkind, symmetry = (p.lower() for p in parts[1:])
-    if obj != "matrix":
-        raise MatrixMarketError(path, 1, f"unsupported object {obj!r} (only 'matrix')")
-    if fmt != "coordinate":
-        raise MatrixMarketError(path, 1, f"unsupported format {fmt!r} (only 'coordinate')")
-    if fieldkind != "real":
-        raise MatrixMarketError(path, 1, f"unsupported field {fieldkind!r} (only 'real')")
-    if symmetry not in ("general", "symmetric"):
-        raise MatrixMarketError(
-            path, 1, f"unsupported symmetry {symmetry!r} (only 'general' or 'symmetric')"
-        )
-    return symmetry
+    values = [p.lower() for p in parts[1:]]
+    for what, value, allowed in zip(("object", "format", "field", "symmetry"), values,
+                                    (("matrix",), ("coordinate",), ("real",),
+                                     ("general", "symmetric"))):
+        if value not in allowed:
+            raise MatrixMarketError(path, 1, f"unsupported {what} {value!r} "
+                                             f"(only {' or '.join(map(repr, allowed))})")
+    return values[3]
 
 
 def read_matrix_market(path):

@@ -628,8 +628,11 @@ class TestPrefixProjector:
             project(t)
             assert np.array_equal(t[:count], scipy.linalg.cho_solve(factor, b[:count]))
             assert np.array_equal(t[count:], b[count:])
-        with pytest.raises(ValueError):
-            project(np.full(count, np.nan))
+        # no gate here: a NaN goes on into the coefficients, and from there
+        # into h, where hessenberg_lsq refuses it
+        t = np.full(count, np.nan)
+        project(t)
+        assert np.isnan(t).all()
 
     def test_non_finite_gram_raises(self, rng):
         prefix = rng.standard_normal((2, 6, 2))

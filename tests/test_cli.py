@@ -87,6 +87,20 @@ class TestRunExperiment:
         with pytest.raises(UsageError):
             ExperimentConfig(preset_a="nope").validate()
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"strategy": "bogus"}, "unknown strategy 'bogus'; choose one of "),
+        ({"preset_a": "nope"}, "unknown preset 'nope'; choose one of varcoef1, "),
+        ({"preset_b": "nope"}, "unknown preset 'nope'; choose one of varcoef1, "),
+    ])
+    def test_validation_messages(self, fields, message):
+        with pytest.raises(UsageError) as err:
+            ExperimentConfig(**fields).validate()
+        assert str(err.value).startswith(message)
+
+    def test_preset_not_checked_for_a_matrix_file(self):
+        ExperimentConfig(preset_a="nope", preset_b="nope",
+                         matrix_a="a.mtx", matrix_b="b.mtx").validate()
+
 
 class TestCompareVariants:
     def test_identical_configs_identical_rows(self, tmp_path):
@@ -183,6 +197,22 @@ class TestMainEntry:
         assert "no variants" in capsys.readouterr().err
         assert not (tmp_path / "out" / "comparison.csv").exists()
 
+    @pytest.mark.parametrize("command", [
+        ["run", "--variant", "glgmres", "--strategy", "identity"],
+        ["compare", "--variants", "glgmres,wglgmres", "--strategy", "mean"],
+    ])
+    def test_unusable_out_exit_one(self, tmp_path, capsys, command):
+        # the directory cannot be made under a regular file: an OSError,
+        # reported as an I/O error (exit 1), not a traceback
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(command + ["--m", "4", "--fdm-n0", "4", "--fdm-s0", "2",
+                               "--out", str(blocker / "sub")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(blocker) in err
+        assert "Traceback" not in err
+
     def test_unknown_flag_exit_one(self):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--no-such-flag"])
@@ -212,6 +242,22 @@ class TestMainEntry:
         cfg_path.write_text(json.dumps({"variants": "glgmres"}))
         code = main(["run", "--config", str(cfg_path)])
         assert code == 1
+
+    def test_config_file_unreadable_exit_one(self, tmp_path, capsys):
+        missing = tmp_path / "absent.json"
+        code = main(["run", "--config", str(missing)])
+        assert code == 1
+        assert f"error: cannot read config file {missing}: " in capsys.readouterr().err
+        garbled = tmp_path / "garbled.json"
+        garbled.write_text("{")
+        assert main(["run", "--config", str(garbled)]) == 1
+        assert f"error: cannot read config file {garbled}: " in capsys.readouterr().err
+
+    def test_config_file_not_an_object_exit_one(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("[1, 2]")
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        assert "error: config file must hold a JSON object" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [
         ("m", "10"), ("fdm_n0", 2.5), ("maxit", True), ("k", 1.0), ("tol", True),

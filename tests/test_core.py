@@ -11,6 +11,7 @@ from sylgmres.core import (
     Weight,
     apply_sylvester,
     as_block,
+    as_csr,
     basis_combine,
     diamond_product,
     frob,
@@ -350,3 +351,5 @@ class TestAsBlock:
 def test_input_refusals():
     with pytest.raises(ValueError, match=r"B must be square, got \(2, 3\)"):
         SylvesterOperator(np.eye(4), np.ones((2, 3)))
+    with pytest.raises(ValueError, match="coefficient matrix contains non-finite entries"):
+        as_csr(sp.csr_array(np.array([[1.0, np.inf], [0.0, 2.0]])), name="coefficient matrix")

@@ -141,6 +141,41 @@ class TestMatrixMarketRead:
             read_matrix_market(path)
         assert err.value.lineno == 3
 
+    @pytest.mark.parametrize("text, lineno, message", [
+        ("%%MatrixMarket matrix coordinate real\n1 1 0\n", 1,
+         "expected '%%MatrixMarket matrix coordinate real <symmetry>' header"),
+        ("%%MatrixMarket tensor coordinate real general\n1 1 0\n", 1,
+         "unsupported object 'tensor' (only 'matrix')"),
+        ("%%MatrixMarket matrix array real general\n1 1\n", 1,
+         "unsupported format 'array' (only 'coordinate')"),
+        ("%%MatrixMarket matrix coordinate complex general\n1 1 0\n", 1,
+         "unsupported field 'complex' (only 'real')"),
+        ("%%MatrixMarket matrix coordinate real hermitian\n1 1 0\n", 1,
+         "unsupported symmetry 'hermitian' (only 'general' or 'symmetric')"),
+        ("", 1, "empty file"),
+        ("%%MatrixMarket matrix coordinate real general\n% note\n2 2\n", 3,
+         "size line must be 'rows cols nnz'"),
+        ("%%MatrixMarket matrix coordinate real general\n2 2 x\n", 2,
+         "non-integer size line '2 2 x'"),
+        ("%%MatrixMarket matrix coordinate real general\n0 0 0\n", 2,
+         "matrix dimensions must be positive"),
+        ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0\n2 2 1.0\n", 4,
+         "more than the declared 1 entries"),
+        ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1\n", 3,
+         "entry line must be 'row col value'"),
+        ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1.5 1 2.0\n", 3,
+         "non-integer index in '1.5 1 2.0'"),
+        ("%%MatrixMarket matrix coordinate real general\n% only a comment\n", 3,
+         "missing size line"),
+    ])
+    def test_refusal_message_and_line(self, tmp_path, text, lineno, message):
+        path = tmp_path / "bad.mtx"
+        path.write_text(text)
+        with pytest.raises(MatrixMarketError) as err:
+            read_matrix_market(path)
+        assert err.value.lineno == lineno
+        assert str(err.value) == f"{path}:{lineno}: {message}"
+
     def test_nonsquare_rejected(self, tmp_path):
         path = tmp_path / "rect.mtx"
         path.write_text("%%MatrixMarket matrix coordinate real general\n2 3 1\n1 1 1.0\n")

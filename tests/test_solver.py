@@ -201,6 +201,11 @@ class TestHarmonicPairs:
             res = np.linalg.norm(normal @ g - th * (hm.T @ g))
             assert res <= 1e-8 * np.linalg.norm(normal)
 
+    def test_pencil_without_finite_values_rejected(self):
+        # H_m = 0: every harmonic value is infinite
+        with pytest.raises(np.linalg.LinAlgError, match="harmonic pencil has no finite eigenvalues"):
+            harmonic_pairs(np.array([[0.0], [1.0]]))
+
     def test_sorted_ascending_with_adjacent_conjugates(self, rng):
         for seed in range(6):
             r = np.random.default_rng(seed)
@@ -267,6 +272,21 @@ class TestSelectAndRealify:
         g_real = select_and_realify(self._real_pairs(values, vectors), 2)
         assert g_real.shape[1] == 1
 
+    def test_refusals(self, rng):
+        g = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        with pytest.raises(np.linalg.LinAlgError, match="no harmonic pairs available"):
+            # m = 2 leaves no room below the cap m - 2
+            select_and_realify(self._real_pairs([1.0, 2.0], np.eye(2)), 1)
+        with pytest.raises(np.linalg.LinAlgError, match="conjugate partner of a complex"):
+            values = [1.0 + 1j, 2.0, 3.0, 4.0, 5.0, 6.0]
+            vectors = np.column_stack([g] + [rng.standard_normal(6)] * 5)
+            select_and_realify(self._real_pairs(values, vectors), 2)
+        with pytest.raises(np.linalg.LinAlgError, match="left nothing to deflate"):
+            # m = 3, so the cap is 1 and the cut pair cannot grow
+            values = [1.0 + 1j, 1.0 - 1j, 3.0]
+            vectors = np.column_stack([g[:3], np.conj(g[:3]), rng.standard_normal(3)])
+            select_and_realify(self._real_pairs(values, vectors), 1)
+
 
 class TestRestartSubspace:
     def test_new_basis_weight_orthonormal(self, rng):
@@ -311,6 +331,12 @@ class TestRestartSubspace:
         inside = q[:, 0] * 0.3 - 0.7 * q[:, 1]  # lies in the recycled span
         with pytest.raises(np.linalg.LinAlgError):
             restart_subspace(dec, g_real, inside)
+
+    def test_residual_length_checked(self, rng):
+        op, c, w, beta, dec, sol = run_one_cycle(rng, m=6)
+        g_real = select_and_realify(harmonic_pairs(dec.h), 2)
+        with pytest.raises(ValueError, match=r"residual vector must have length 7, got \(6,\)"):
+            restart_subspace(dec, g_real, sol.residual[:6])
 
     def test_rank_zero_harmonic_columns_rejected(self, rng):
         # reduced_qr keeps no column of an all-zero set: its q is m x 0

@@ -168,21 +168,13 @@ def _write_summary(rows, path):
                 for row in rows))
 
 
-def _out_dir(path):
-    """The output directory ``path``, created if it does not exist."""
-    out_dir = Path(path)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir
-
-
 def run_experiment(cfg):
     """Run one configured solve; emit history and summary files.
 
     Returns ``(report, files)`` where ``files`` maps the emitted kinds to
     their paths.  The initial guess is always the zero block.
     """
-    rows, (report,) = compare_variants([cfg])
-    out_dir = _out_dir(cfg.out)
+    out_dir, rows, (report,) = _compare([cfg], make_out_dir=True)
     history_path = out_dir / "history.csv"
     summary_path = out_dir / "summary.csv"
     _write_history(report, history_path)
@@ -197,6 +189,13 @@ def compare_variants(cfgs):
     Returns ``(rows, reports)`` with one summary row per config, in order.
     An empty ``cfgs`` raises UsageError.
     """
+    return _compare(cfgs)[1:]
+
+
+def _compare(cfgs, make_out_dir=False):
+    """compare_variants, returning ``(out_dir, rows, reports)``; with
+    ``make_out_dir`` the configs' output directory is made once they are
+    validated and before any solve, so an unusable one costs no solve."""
     if not cfgs:
         raise UsageError("no variants to compare")
     base = None
@@ -208,6 +207,10 @@ def compare_variants(cfgs):
             base = core
         elif core != base:
             raise UsageError("compared configs may differ only in variant, strategy, m and k")
+    out_dir = None
+    if make_out_dir:
+        out_dir = Path(cfgs[0].out)
+        out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     reports = []
     op, c = build_problem(cfgs[0])
@@ -215,7 +218,7 @@ def compare_variants(cfgs):
         report = wglgmres_dr(op, c, _solver_config(cfg))
         rows.append(_summary_row(cfg, report))
         reports.append(report)
-    return rows, reports
+    return out_dir, rows, reports
 
 
 def render_comparison(rows):
@@ -342,9 +345,7 @@ def _cmd_compare(args):
         strategy = base.strategy if variant.startswith("w") else "identity"
         k = base.k if variant.endswith("-d") else 0
         cfgs.append(replace(base, variant=variant, strategy=strategy, k=k))
-    rows, reports = compare_variants(cfgs)
-
-    out_dir = _out_dir(base.out)
+    out_dir, rows, reports = _compare(cfgs, make_out_dir=True)
     _write_summary(rows, out_dir / "comparison.csv")
     for cfg, report in zip(cfgs, reports):
         _write_history(report, out_dir / f"history_{cfg.label()}.csv")

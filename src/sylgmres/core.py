@@ -47,10 +47,16 @@ def as_block(x, name="block"):
 
 
 def as_csr(mat, name="matrix"):
-    """Coerce ``mat`` (dense or sparse) to float64 CSR with sorted indices."""
-    m = sp.csr_array(mat).astype(np.float64)
-    m.sum_duplicates()
-    m.sort_indices()
+    """Coerce ``mat`` (dense or sparse) to a float64 ``csr_array`` in canonical
+    format (sorted indices, no duplicates) with finite entries; such an array
+    is returned as is, not copied.  Any other input is converted on a copy, so
+    the caller's object is never modified."""
+    if isinstance(mat, sp.csr_array) and mat.dtype == np.float64 and mat.has_canonical_format:
+        m = mat
+    else:
+        m = sp.csr_array(mat).astype(np.float64)
+        m.sum_duplicates()
+        m.sort_indices()
     if not np.isfinite(m.data).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
@@ -162,6 +168,8 @@ DENSE_B_MAX_S = 64
 class SylvesterOperator:
     """The linear map X -> A X + X B for sparse square A (n x n), B (s x s).
 
+    A and B pass through :func:`as_csr`: a float64 ``csr_array`` in canonical
+    format is kept as is, not copied, like a block in :func:`as_block`.
     ``b_dense`` is a dense copy of B when s <= DENSE_B_MAX_S, else None.
     """
 

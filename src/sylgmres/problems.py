@@ -70,7 +70,7 @@ def _coefficient_values(f, x, y):
         return np.full(x.shape, float(f))
     try:
         v = np.asarray(f(x, y), dtype=np.float64)
-        return np.broadcast_to(v, x.shape).astype(np.float64)
+        return v if v.shape == x.shape else np.broadcast_to(v, x.shape).astype(np.float64)
     except (TypeError, ValueError):
         return np.array([float(f(xi, yi)) for xi, yi in zip(x, y)])
 
@@ -81,38 +81,60 @@ def fdm_matrix(spec):
     Grid points x_i = i*h, y_j = j*h with h = 1/(n0+1), ordered with the
     x index fastest.  Each row holds at most five entries: the diagonal
     ``-4/h^2 - f3`` and east/west/north/south couplings
-    ``1/h^2 -+ f1/(2h)`` and ``1/h^2 -+ f2/(2h)``.
+    ``1/h^2 -+ f1/(2h)`` and ``1/h^2 -+ f2/(2h)``.  The CSR arrays are
+    written directly in canonical form: row i lists south (i - n0), west
+    (i - 1), the diagonal, east (i + 1) and north (i + n0), less the
+    couplings across the boundary; a coupling that is exactly 0 stays
+    stored.
     """
     n0 = spec.n0
     n = n0 * n0
     h = 1.0 / (n0 + 1)
-    idx = np.arange(n)
-    ix = idx % n0
-    iy = idx // n0
-    x = (ix + 1) * h
-    y = (iy + 1) * h
+    grid = (n0, n0)  # (iy, ix): row iy * n0 + ix
+    line = np.arange(n0)
+    coord = (line + 1) * h
+    x = np.empty(grid)
+    x[:] = coord
+    y = np.empty(grid)
+    y[:] = coord[:, None]
+    x, y = x.ravel(), y.ravel()
 
-    f1 = _coefficient_values(spec.f1, x, y)
-    f2 = _coefficient_values(spec.f2, x, y)
-    f3 = _coefficient_values(spec.f3, x, y)
+    f1 = _coefficient_values(spec.f1, x, y).reshape(grid)
+    f2 = _coefficient_values(spec.f2, x, y).reshape(grid)
+    f3 = _coefficient_values(spec.f3, x, y).reshape(grid)
 
     lap = 1.0 / h**2
-    rows = [idx]
-    cols = [idx]
-    vals = [-4.0 * lap - f3]
+    # five entries per row, less one per boundary side of its grid point
+    sides = np.zeros(n0, dtype=line.dtype)
+    sides[0] += 1
+    sides[-1] += 1
+    indptr = np.zeros(n + 1, dtype=line.dtype)
+    np.cumsum((5 - sides[:, None]) - sides, out=indptr[1:])
+    start = indptr[:-1].reshape(grid)
+    inner = line > 0  # the point has a south (west) neighbour
+    diag = start + inner[:, None] + inner
+    rows = np.arange(n).reshape(grid)
+    indices = np.empty(indptr[-1], dtype=line.dtype)
+    data = np.empty(indptr[-1])
+    indices[diag] = rows
+    data[diag] = -4.0 * lap - f3
 
-    # east, west, north and south couplings lap -+ f/(2h)
-    for keep, offset, f, op in ((ix < n0 - 1, 1, f1, np.subtract), (ix > 0, -1, f1, np.add),
-                                (iy < n0 - 1, n0, f2, np.subtract), (iy > 0, -n0, f2, np.add)):
-        rows.append(idx[keep])
-        cols.append(idx[keep] + offset)
-        vals.append(op(lap, f[keep] / (2.0 * h)))
+    # south, west, east and north couplings lap -+ f/(2h), on the grid points
+    # that have them, each written to its slot base + shift of the row
+    for keep, base, shift, offset, f, op in (
+            (np.s_[1:], start, 0, -n0, f2, np.add),
+            (np.s_[:, 1:], diag, -1, -1, f1, np.add),
+            (np.s_[:, :-1], diag, 1, 1, f1, np.subtract),
+            (np.s_[:-1], indptr[1:].reshape(grid), -1, n0, f2, np.subtract)):
+        pos = base[keep] + shift
+        indices[pos] = rows[keep] + offset
+        data[pos] = op(lap, f[keep] / (2.0 * h))
 
-    coo = sp.coo_array(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
-    return as_csr(coo)
+    if not np.isfinite(data).all():
+        raise ValueError("matrix contains non-finite entries")
+    mat = sp.csr_array((data, indices, indptr), shape=(n, n))
+    mat.has_canonical_format = True
+    return mat
 
 
 def _parse_header(path, line):

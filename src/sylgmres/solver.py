@@ -326,8 +326,9 @@ def wglgmres_dr(op, c, cfg, x0=None):
 
     c_in, c, norm_c_f = c, np.ldexp(c, -e), math.ldexp(norm_c_f_in, -e)
     r = c - op.apply(x)
+    r_norm = frob(r)  # ||R||_F of the residual each cycle starts from
     if norm_c_f == 0.0:
-        if frob(r) == 0.0:
+        if r_norm == 0.0:
             return SolveReport(x, True, 0, [], 0.0, [], time.perf_counter() - t0,
                                [] if cfg.record_cycles else None)
         raise ValueError("zero right-hand side with a nonzero initial residual")
@@ -349,6 +350,10 @@ def wglgmres_dr(op, c, cfg, x0=None):
 
     follows = cfg.strategy.follows_residual
     for cycle in range(1, cfg.maxit + 1):
+        # a NaN or inf in R is named here, before a weight is built from R
+        if not r_norm < math.inf:
+            raise ValueError(f"cycle {cycle}: the residual norm is {r_norm}, "
+                             "not a finite positive float")
         if weight is None or follows:
             weight = make_weight(cfg.strategy, residual=r, rhs=c)
             norm_c_d = weighted_norm(c, weight)
@@ -389,7 +394,8 @@ def wglgmres_dr(op, c, cfg, x0=None):
 
         est = sol.rho / norm_c_d
         explicit = beta / norm_c_d
-        true_rel = frob(r) / norm_c_f
+        r_norm = frob(r)
+        true_rel = r_norm / norm_c_f
         history.append(CycleRecord(cycle, cum_iter, est, true_rel,
                                    weight.tag, time.perf_counter() - t0))
 

@@ -201,9 +201,14 @@ class TestMainEntry:
         ["run", "--variant", "glgmres", "--strategy", "identity"],
         ["compare", "--variants", "glgmres,wglgmres", "--strategy", "mean"],
     ])
-    def test_unusable_out_exit_one(self, tmp_path, capsys, command):
+    def test_unusable_out_exit_one(self, tmp_path, capsys, monkeypatch, command):
         # the directory cannot be made under a regular file: an OSError,
-        # reported as an I/O error (exit 1), not a traceback
+        # reported as an I/O error (exit 1), not a traceback, and before
+        # any solve runs
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the output directory was made")
+
+        monkeypatch.setattr(cli, "wglgmres_dr", no_solve)
         blocker = tmp_path / "file"
         blocker.write_text("")
         code = main(command + ["--m", "4", "--fdm-n0", "4", "--fdm-s0", "2",

@@ -18,6 +18,7 @@ from sylgmres.core import (
     weighted_inner,
     weighted_norm,
 )
+from sylgmres.problems import FdmSpec, fdm_matrix
 
 from conftest import kron_matrix, random_block, random_operator
 
@@ -346,6 +347,58 @@ class TestAsBlock:
             b = as_block(x)
             assert b.flags.c_contiguous and b.dtype == np.float64
             assert np.array_equal(b, x)
+
+
+def _snapshot(mat):
+    """Every byte of ``mat`` that as_csr could change."""
+    if isinstance(mat, list):
+        return repr(mat)
+    if mat.format == "coo":
+        return [a.tobytes() for a in (mat.data, *mat.coords)]
+    return [a.tobytes() for a in (mat.data, mat.indices, mat.indptr)]
+
+
+class TestAsCsr:
+    def test_canonical_float64_csr_array_is_kept(self):
+        mat = sp.csr_array(np.array([[2.0, 0.0, 1.0], [0.0, 3.0, 0.0], [4.0, 0.0, 5.0]]))
+        assert as_csr(mat) is mat
+        a = fdm_matrix(FdmSpec(4, lambda x, y: x * y, 1.0, 2.0))
+        b = fdm_matrix(FdmSpec(2, 0.5, 0.0, 0.0))
+        op = SylvesterOperator(a, b)
+        assert op.a is a and op.b is b
+
+    @pytest.mark.parametrize("kind", ["csr_matrix", "coo_array", "list", "integer",
+                                      "unsorted", "duplicates"])
+    def test_other_inputs_are_converted_on_a_copy(self, kind):
+        dense = np.array([[2.0, 0.0, 1.0], [0.0, 3.0, 0.0], [4.0, 0.0, 5.0]])
+        mat = {
+            "csr_matrix": lambda: sp.csr_matrix(dense),
+            "coo_array": lambda: sp.coo_array(dense),
+            "list": lambda: dense.tolist(),
+            "integer": lambda: sp.csr_array(dense.astype(np.int64)),
+            # row 0 lists column 2 before column 0
+            "unsorted": lambda: sp.csr_array(([1.0, 2.0, 3.0, 4.0, 5.0], [2, 0, 1, 0, 2],
+                                              [0, 2, 3, 5]), shape=(3, 3)),
+            # row 2 stores 4 as 1 + 3 in column 0
+            "duplicates": lambda: sp.csr_array(([2.0, 1.0, 3.0, 1.0, 3.0, 5.0],
+                                                [0, 2, 1, 0, 0, 2], [0, 2, 3, 6]),
+                                               shape=(3, 3)),
+        }[kind]()
+        before = _snapshot(mat)
+        m = as_csr(mat)
+        assert m is not mat and type(m) is sp.csr_array and m.dtype == np.float64
+        # canonical as scipy finds it on a fresh array, not from a cached flag
+        assert sp.csr_array((m.data, m.indices, m.indptr), shape=m.shape).has_canonical_format
+        assert np.array_equal(m.toarray(), dense)
+        assert _snapshot(mat) == before
+
+    @pytest.mark.parametrize("mat", [
+        sp.csr_array(np.array([[1.0, np.inf], [0.0, 2.0]])),
+        [[1.0, np.nan], [0.0, 2.0]],
+    ])
+    def test_non_finite_input_raises_naming_it(self, mat):
+        with pytest.raises(ValueError, match="^coefficient matrix contains non-finite entries$"):
+            as_csr(mat, name="coefficient matrix")
 
 
 def test_input_refusals():

@@ -19,6 +19,7 @@ from sylgmres import SolverConfig, SylvesterOperator, WeightStrategy, kron_solve
 from sylgmres.cli import COEFFICIENT_PRESETS
 from sylgmres.dense import small_solve
 from sylgmres.problems import FdmSpec, fdm_matrix, gen_rhs
+from sylgmres.weighting import STRATEGY_KINDS
 
 from conftest import kron_matrix, random_block, random_operator
 
@@ -81,11 +82,24 @@ def test_nan_from_the_operator_raises(strategy, k, call):
     counting = CountingOperator(op, nan_at=call)
     cfg = SolverConfig(m=10, k=k, tol=1e-6, strategy=WeightStrategy(strategy))
     # the gates that remain: hessenberg_lsq on h ("matrix contains ..."), and
-    # on a residual at a cycle's end the norm or the weight built from it
-    with pytest.raises(ValueError, match="contains non-finite entries|not a finite positive float"
-                                         "|weight entries must be finite"):
+    # on a residual at a cycle's end its norm, before any weight is built from it
+    with pytest.raises(ValueError, match="contains non-finite entries"
+                                         r"|cycle \d+: the residual norm is nan"):
         wglgmres_dr(counting, gen_rhs(op.n, op.s, 1), cfg)
     assert counting.calls >= call
+
+
+@pytest.mark.parametrize("strategy", STRATEGY_KINDS)
+def test_nan_residual_names_the_cycle(strategy):
+    # call 12 forms the residual at the end of cycle 1 (after the first
+    # residual and ten Arnoldi steps); its norm refuses it before a weight is
+    # built from it, so every strategy names the cycle and the residual
+    op = fdm20()
+    counting = CountingOperator(op, nan_at=12)
+    ws = WeightStrategy(strategy, seed=3 if strategy == "random" else None)
+    with pytest.raises(ValueError,
+                       match="^cycle 2: the residual norm is nan, not a finite positive float$"):
+        wglgmres_dr(counting, gen_rhs(op.n, op.s, 1), SolverConfig(m=10, strategy=ws))
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -1,6 +1,7 @@
 """Finite-difference generator, Matrix Market I/O, seeded right-hand sides
 and the dense Kronecker oracle."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from sylgmres import SylvesterOperator, kron_solve
+from sylgmres.cli import COEFFICIENT_PRESETS
 from sylgmres.core import apply_sylvester, frob
 from sylgmres.problems import (
     FdmSpec,
@@ -98,6 +100,78 @@ class TestFdmMatrix:
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
             FdmSpec(0)
+
+
+def coo_reference(spec):
+    """The FDM matrix assembled as COO triplets and converted to canonical
+    float64 CSR: the reference that fdm_matrix's direct build must match
+    bit for bit."""
+    n0 = spec.n0
+    n = n0 * n0
+    h = 1.0 / (n0 + 1)
+    idx = np.arange(n)
+    ix = idx % n0
+    iy = idx // n0
+    x = (ix + 1) * h
+    y = (iy + 1) * h
+    coefficients = []
+    for f in (spec.f1, spec.f2, spec.f3):
+        if not callable(f):
+            coefficients.append(np.full(x.shape, float(f)))
+            continue
+        try:
+            v = np.asarray(f(x, y), dtype=np.float64)
+            coefficients.append(np.broadcast_to(v, x.shape).astype(np.float64))
+        except (TypeError, ValueError):
+            coefficients.append(np.array([float(f(xi, yi)) for xi, yi in zip(x, y)]))
+    f1, f2, f3 = coefficients
+    lap = 1.0 / h**2
+    rows = [idx]
+    cols = [idx]
+    vals = [-4.0 * lap - f3]
+    for keep, offset, f, op in ((ix < n0 - 1, 1, f1, np.subtract), (ix > 0, -1, f1, np.add),
+                                (iy < n0 - 1, n0, f2, np.subtract), (iy > 0, -n0, f2, np.add)):
+        rows.append(idx[keep])
+        cols.append(idx[keep] + offset)
+        vals.append(op(lap, f[keep] / (2.0 * h)))
+    coo = sp.coo_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                       shape=(n, n))
+    mat = sp.csr_array(coo).astype(np.float64)
+    mat.sum_duplicates()
+    mat.sort_indices()
+    return mat
+
+
+FDM_SPECS = {f"{name}-n0={n0}": FdmSpec(n0, *COEFFICIENT_PRESETS[name])
+             for n0 in (1, 2, 3, 5, 20, 50, 100, 137) for name in COEFFICIENT_PRESETS}
+FDM_SPECS["zero-coupling"] = FdmSpec(3, 8.0)
+FDM_SPECS["scalar-callables"] = FdmSpec(4, lambda x, y: math.sin(x * y), 0.5,
+                                        lambda x, y: math.exp(x - y))
+
+
+@pytest.mark.parametrize("spec", FDM_SPECS.values(), ids=FDM_SPECS.keys())
+def test_fdm_matrix_is_the_coo_build_bitwise(spec):
+    mat = fdm_matrix(spec)
+    ref = coo_reference(spec)
+    assert type(mat) is type(ref) and mat.shape == ref.shape
+    assert mat.has_canonical_format and ref.has_canonical_format
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(mat, name), getattr(ref, name)
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+def test_fdm_matrix_stores_zero_couplings():
+    # f1 = 8 makes the east coupling 1/h^2 - 8/(2h) exactly 0 at h = 1/4
+    mat = fdm_matrix(FdmSpec(3, 8.0))
+    assert mat.nnz == 33
+    assert np.count_nonzero(mat.data == 0.0) == 6
+
+
+def test_fdm_matrix_rejects_an_overflowing_coefficient():
+    with np.errstate(over="ignore"), pytest.raises(ValueError,
+                                                   match="matrix contains non-finite entries"):
+        fdm_matrix(FdmSpec(5, 0.0, 0.0, lambda x, y: 1e308 * (1.0 + x)))
 
 
 class TestMatrixMarketRead:

@@ -193,9 +193,11 @@ def compare_variants(cfgs):
 
 
 def _compare(cfgs, make_out_dir=False):
-    """compare_variants, returning ``(out_dir, rows, reports)``; with
-    ``make_out_dir`` the configs' output directory is made once they are
-    validated and before any solve, so an unusable one costs no solve."""
+    """compare_variants, returning ``(out_dir, rows, reports)``.  Every
+    config and its solver rules are checked first; then, with
+    ``make_out_dir``, the configs' output directory is made, before the
+    problem is built and any solve runs, so neither a bad rule nor an
+    unusable directory costs a solve."""
     if not cfgs:
         raise UsageError("no variants to compare")
     base = None
@@ -207,6 +209,7 @@ def _compare(cfgs, make_out_dir=False):
             base = core
         elif core != base:
             raise UsageError("compared configs may differ only in variant, strategy, m and k")
+    solver_cfgs = [_solver_config(cfg) for cfg in cfgs]
     out_dir = None
     if make_out_dir:
         out_dir = Path(cfgs[0].out)
@@ -214,8 +217,8 @@ def _compare(cfgs, make_out_dir=False):
     rows = []
     reports = []
     op, c = build_problem(cfgs[0])
-    for cfg in cfgs:
-        report = wglgmres_dr(op, c, _solver_config(cfg))
+    for cfg, solver_cfg in zip(cfgs, solver_cfgs):
+        report = wglgmres_dr(op, c, solver_cfg)
         rows.append(_summary_row(cfg, report))
         reports.append(report)
     return out_dir, rows, reports

@@ -69,13 +69,11 @@ _INF = math.inf
 def _root(sum_sq, y, val):
     """sqrt(val) for the sum of squares val = sum_sq(y); one that under- or
     overflowed (below the smallest normal float or inf) is redone on
-    y / max|y|."""
+    y / max|y|.  A NaN stays NaN."""
     t = 1.0
     if not _TINY <= val < _INF and 0.0 < (big := float(np.abs(y).max(initial=0.0))) < _INF:
         val, t = sum_sq(y / big), big
-    # tiny negative values can appear through rounding in the einsum
-    # reduction; only those are clamped, so a NaN stays NaN
-    return 0.0 if val <= 0.0 else t * math.sqrt(val)
+    return t * math.sqrt(val)
 
 
 def _sumsq(v):
@@ -95,12 +93,19 @@ def _finite_sumsq(a, what):
     return val
 
 
+def _norm(v, d=None):
+    """Weighted 2-norm of the flat vector ``v`` under the flat weight ``d``
+    (None for the identity: _sumsq's BLAS dot sums the squares), summed in
+    the order of ``v`` and rescaled as in _root."""
+    sum_sq = _sumsq if d is None else lambda u: float(np.einsum("i,i,i->", d, u, u))
+    return _root(sum_sq, v, sum_sq(v))
+
+
 def frob(x):
-    """Frobenius norm of a dense array, summed in C order whatever its layout
-    (as np.linalg.norm sums a C-ordered array) and rescaled as in _root."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    val = _sumsq(x)
-    return math.sqrt(val) if _TINY <= val < _INF else _root(_sumsq, x, val)
+    """Frobenius norm of a dense array: _norm of its entries in C order,
+    whatever its layout, so one BLAS dot sums the squares; rescaled as in
+    _root."""
+    return _norm(np.asarray(x, dtype=np.float64).ravel())
 
 
 class Weight:
@@ -205,7 +210,7 @@ class SylvesterOperator:
 
     def frobenius_scale(self):
         """||A||_F + ||B||_F, the natural magnitude scale of the operator."""
-        return float(np.sqrt((self.a.data**2).sum()) + np.sqrt((self.b.data**2).sum()))
+        return frob(self.a.data) + frob(self.b.data)
 
     def __repr__(self):
         return f"SylvesterOperator(n={self.n}, s={self.s})"
@@ -232,20 +237,8 @@ def weighted_inner(y, z, weight):
         raise ValueError(f"block shapes differ: {y.shape} vs {z.shape}")
     w = _weight_entries(weight, y.shape)
     if w is None:
-        return float(np.einsum("ij,ij->", y, z))
+        return float(np.vdot(y, z))
     return float(np.einsum("ij,ij,ij->", w, y, z))
-
-
-def _norm(v, d):
-    """Weighted 2-norm of the flat vector ``v`` under the flat weight ``d``
-    (None for the identity), summed in the order of ``v`` and rescaled as
-    in _root."""
-    val = float(np.einsum("i,i->", v, v) if d is None else np.einsum("i,i,i->", d, v, v))
-    if _TINY <= val < _INF:
-        return math.sqrt(val)
-    if d is None:
-        return _root(lambda u: float(np.einsum("i,i->", u, u)), v, val)
-    return _root(lambda u: float(np.einsum("i,i,i->", d, u, u)), v, val)
 
 
 def weighted_norm(y, weight):

@@ -1,23 +1,27 @@
 """Dense kernels for the small projected subproblems.
 
-Each kernel is one LAPACK call and the checks its callers rely on: least
-squares on (m+1) x m quasi-Hessenberg matrices and a rank-revealing reduced
-QR, both by Householder QR; a real nonsymmetric eigensolver with
-magnitude-sorted pairs; and partial-pivoted linear solves with an explicit
-singularity threshold.  The solver's matrices have at most a few hundred
-rows; ``small_solve`` also serves the Kronecker oracle
-``problems.kron_solve``, up to ``problems.KRON_MAX`` = 4096 rows.
+Each kernel is a few LAPACK calls and the checks its callers rely on: least
+squares on (m+1) x m quasi-Hessenberg matrices by Householder QR (``dgeqrf``),
+whose reflectors ``dormqr`` applies to the right-hand side without forming
+Q; a rank-revealing reduced QR, whose economic Q ``dorgqr`` forms; a real
+nonsymmetric eigensolver with magnitude-sorted pairs; and partial-pivoted
+linear solves with an explicit singularity threshold.  The solver's matrices
+have at most a few hundred rows; ``small_solve`` also serves the Kronecker
+oracle ``problems.kron_solve``, up to ``problems.KRON_MAX`` = 4096 rows.
 
 The factorizations call ``scipy.linalg.lapack`` wrappers directly, since at
 m = 10 a ``scipy.linalg`` front end adds 15-60 us of argument handling to a
 5 us LAPACK call.  Each call passes LAPACK what the front end would, so the
-results are bitwise the same.  Non-finite input and illegal arguments raise
+results are bitwise the same; ``dormqr``, which no front end of the least
+squares calls, gets at least the workspace its query asks for, as scipy's
+``qr_multiply`` passes it.  Non-finite input and illegal arguments raise
 ValueError; a singular matrix or an eigeniteration that does not converge
 raises numpy's ``np.linalg.LinAlgError``.
 
 The checks ride on work the kernel does anyway, so at m = 10 they cost a
 fraction of a microsecond instead of a numpy scan each.  The sum of squares
-behind the Frobenius norm of a pivot or rank threshold is finite exactly when
+behind a pivot threshold (one BLAS dot, as in ``core.frob``) or the rank
+threshold (the column sums of squares, one einsum) is finite exactly when
 every entry is, short of an overflow, so the full finiteness scan runs only
 when that sum is not finite.  ``small_eig`` leaves the scan to
 ``np.linalg.eig``, which makes it anyway, and names the fault only when eig
@@ -31,9 +35,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf, dgetrf, dgetrs, dorgqr, dtrtrs
+from scipy.linalg.lapack import dgeqrf, dgetrf, dgetrs, dormqr, dorgqr, dtrtrs
 
-from .core import _TINY, _finite_sumsq, frob
+from .core import _finite_sumsq, _root, _sumsq, frob
 
 __all__ = [
     "LsqSolution",
@@ -60,23 +64,23 @@ def _lapack(routine, *args, **kwargs):
 
 def _finite_norm(a, what):
     """frob(a) for a finite array; ValueError naming ``what`` otherwise."""
-    val = _finite_sumsq(a, what)
-    return math.sqrt(val) if _TINY <= val < math.inf else frob(a)
+    return _root(_sumsq, a, _finite_sumsq(a, what))
 
 
-def _qr(a, cols):
+def _qr(a):
     """Householder QR of a finite m x n matrix (n <= m) as scipy.linalg.qr
-    hands it to LAPACK: the first ``cols`` columns of Q (m for the full Q, n
-    for the economic one) and the packed factor, whose upper triangle is R."""
+    hands it to LAPACK: the packed factor, whose upper triangle is R and whose
+    lower part holds the reflectors, and the reflectors' scalars tau."""
     # at least LAPACK's block size (32) per column: the blocking the front
     # end's workspace query selects
-    lwork = 64 * max(cols, 1)
-    (qr, tau, _), _ = _lapack(dgeqrf, a, lwork=lwork)
-    # Q is formed in place on an F-ordered copy of the reflectors, padded to
-    # m x m for the full Q as the front end pads it
-    q = np.empty((a.shape[0], cols), order="F")
-    q[:, : a.shape[1]] = qr
-    return _lapack(dorgqr, q, tau, lwork=lwork, overwrite_a=1)[0][0], qr
+    (qr, tau, _), _ = _lapack(dgeqrf, a, lwork=64 * max(a.shape[1], 1))
+    return qr, tau
+
+
+# dormqr's workspace for one column: a block of up to NBMAX = 64 reflectors
+# and its 65 x 64 triangular factor, at least the workspace query's optimum
+# (4,192 at LAPACK's block size of 32), so it blocks as the query makes it
+_ORMQR_LWORK = 64 + 65 * 64
 
 
 class LsqSolution(NamedTuple):
@@ -106,7 +110,9 @@ def hessenberg_lsq(h, c):
 
     H may be proper upper Hessenberg or carry a dense leading block (as after
     a deflated restart).  With H = Q R and g = Q^T c the minimizer solves the
-    triangular system R[:m] y = g[:m] and the residual norm is |g[m]|.
+    triangular system R[:m] y = g[:m] and the residual norm is |g[m]|; g is
+    LAPACK's ``dormqr`` applied to c with the reflectors of ``dgeqrf``, so Q
+    is never formed, and a 1 x 0 H keeps g = c.
     Returns the minimizer ``y``, the explicit residual vector ``c - H y``, its
     2-norm ``rho`` and a ``degenerate`` flag.  A triangular diagonal below
     ``PIVOT_TOL * ||H||_F`` marks the system rank deficient; the minimum-norm
@@ -123,8 +129,10 @@ def hessenberg_lsq(h, c):
     tol = PIVOT_TOL * _finite_norm(h, "matrix")
     _finite_sumsq(c, "right-hand side")
 
-    q, qr = _qr(h, m + 1)
-    g = q.T @ c
+    qr, tau = _qr(h)
+    # g = Q^T c from the reflectors; LAPACK refuses an empty set of them, and
+    # with no column Q is the identity
+    g = _lapack(dormqr, "L", "T", qr, tau, c, lwork=_ORMQR_LWORK)[0][0] if m else c
     degenerate = bool(m) and min(map(abs, qr.diagonal().tolist())) <= tol
     if degenerate:
         y = np.linalg.lstsq(np.triu(qr[:m]), g[:m], rcond=None)[0]
@@ -159,21 +167,23 @@ def reduced_qr(g):
         raise ValueError(f"need at least as many rows as columns, got {g.shape}")
     if not g.size:
         return np.empty((m, 0))
-    # the largest column norm as np.linalg.norm(g, axis=0).max() computes it;
-    # its square is NaN or inf if an entry is, and otherwise only on overflow
-    colsq = float(np.add.reduce(g * g, axis=0).max())
+    # the square of the largest column norm: NaN or inf if an entry is, and
+    # otherwise only on overflow
+    colsq = float(np.einsum("ij,ij->j", g, g).max())
     if not colsq < math.inf and not np.isfinite(g).all():
         raise ValueError("matrix contains non-finite entries")
     tol = RANK_TOL * math.sqrt(colsq)
 
-    q, qr = _qr(g, k)
+    qr, tau = _qr(g)
     diag = qr.diagonal().tolist()
     kept = [j for j in range(k) if abs(diag[j]) > tol]
     if len(kept) < k:
         # a dropped column's Householder direction is arbitrary and would
         # leak into the later columns of q
-        q, qr = _qr(g[:, kept], len(kept))
+        qr, tau = _qr(g[:, kept])
         diag = qr.diagonal().tolist()
+    # the economic Q from a copy of the reflectors, with _qr's workspace rule
+    q = _lapack(dorgqr, qr, tau, lwork=64 * max(len(kept), 1))[0][0]
     if any(x < 0.0 for x in diag):
         q *= [-1.0 if x < 0.0 else 1.0 for x in diag]
     return q

@@ -234,8 +234,10 @@ def restart_subspace(dec, g_real, r, out=None):
     span the harmonic Ritz block vectors plus the residual, and ``new_h``
     restates the recurrence on that set.  The blocks are written into the
     leading slots of ``out`` (a C-ordered float64 array of at least k+1
-    blocks of the basis's block shape that must not overlap the basis;
-    ValueError otherwise), or into a new array when it is None.
+    blocks of the basis's block shape; ValueError otherwise), or into a new
+    array when it is None.  ``out`` may overlap the basis, even be its own
+    workspace: numpy's matmul then reads a copy of the basis, so the blocks
+    are those of ``out=None``.
     Raises LinAlgError when the harmonic columns are rank deficient or
     ``r`` already lies in their span.
     """
@@ -282,10 +284,10 @@ def collinearity_check(dec, pairs, y, beta):
     rows = h.shape[0]
     rm = -(h @ y)
     rm[0] += beta
-    rnorm = float(np.linalg.norm(rm))
+    rnorm = frob(rm)
     if rnorm < 1e-300:
         return 0.0
-    hscale = float(np.linalg.norm(h))
+    hscale = frob(h)
     dev = 0.0
     for idx in range(len(pairs)):
         theta = pairs.values[idx]
@@ -295,7 +297,7 @@ def collinearity_check(dec, pairs, y, beta):
         parts = (rt.real,) if theta.imag == 0.0 else (rt.real, rt.imag)
         floor = 1e-12 * (hscale + abs(theta)) * float(np.linalg.norm(g))
         for part in parts:
-            pnorm = float(np.linalg.norm(part))
+            pnorm = frob(part)
             if pnorm <= floor:
                 continue
             cosine = abs(float(part @ rm)) / (pnorm * rnorm)

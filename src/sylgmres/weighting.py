@@ -105,12 +105,10 @@ def make_weight(strategy, residual=None, rhs=None):
         return _floored(d, r.shape, f"random[{strategy.seed}]")
 
     if kind == "mean":
-        # the row sums column by column, as numpy's mean sums rows of fewer
-        # than 8 entries, but without its slow strided reduction
-        total = r[:, :1].copy()
-        for j in range(1, r.shape[1]):
-            total += r[:, j:j + 1]
-        values = np.abs(np.divide(total, r.shape[1], out=total), out=total)
+        # the row means as one GEMV against the (s, 1) column of 1/s, in
+        # place of numpy's slow strided reduction over the short axis
+        values = r @ np.full((r.shape[1], 1), 1.0 / r.shape[1])
+        np.abs(values, out=values)
         # a row mean is at most max |r|, so only a tiny one calls for that scan
         mx = float(values.max())
         if not mx >= _ZERO_RESIDUAL and float(np.abs(r).max()) < _ZERO_RESIDUAL:
@@ -124,7 +122,7 @@ def make_weight(strategy, residual=None, rhs=None):
     # kind is "max-col" or "min-col"
     if not 1e-150 <= big <= 1e150:  # the squares would under- or overflow
         r = r / big
-    norms = np.linalg.norm(r, axis=0)
+    norms = np.sqrt(np.einsum("ij,ij->j", r, r))
     t = int(np.argmax(norms) if kind == "max-col" else np.argmin(norms))
     if norms[t] == 0.0:
         return Weight.identity(tag=f"identity[degenerate:{kind}]")

@@ -218,6 +218,27 @@ class TestMainEntry:
         assert err.startswith("error: ") and str(blocker) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, message", [
+        (["compare", "--variants", "glgmres,glgmres-d", "--m", "6", "--k", "5"],
+         "deflation count k=5 must be <= m - 2 = 4"),
+        (["run", "--variant", "glgmres", "--strategy", "identity", "--m", "0"],
+         "restart length m must be >= 1"),
+    ])
+    def test_solver_rules_checked_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                  command, message):
+        # every variant's solver rules are checked before the output directory
+        # is made, the problem is built or any variant is solved
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before every solver rule was checked")
+
+        monkeypatch.setattr(cli, "wglgmres_dr", no_work)
+        monkeypatch.setattr(cli, "build_problem", no_work)
+        out = tmp_path / "out"
+        code = main(command + ["--fdm-n0", "6", "--fdm-s0", "2", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_unknown_flag_exit_one(self):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--no-such-flag"])

@@ -76,6 +76,14 @@ class TestApplySylvester:
         assert op.a.indices.dtype == op.a.indptr.dtype == index_dtype
         assert op.apply(x).tobytes() == expect.tobytes()
 
+    def test_frobenius_scale_across_the_float_range(self):
+        # ||A||_F and ||B||_F are frob's, which rescales squares that under- or
+        # overflow: the sums of squares used to overflow to inf and underflow to 0
+        big = SylvesterOperator(1e200 * np.eye(3), np.eye(2)).frobenius_scale()
+        tiny = SylvesterOperator(1e-200 * np.eye(3), 1e-200 * np.eye(2)).frobenius_scale()
+        assert big == np.sqrt(3.0) * 1e200 + np.sqrt(2.0)
+        assert tiny == pytest.approx((np.sqrt(3.0) + np.sqrt(2.0)) * 1e-200, rel=1e-15)
+
     def test_dimension_mismatch(self, rng):
         op = random_operator(rng, 4, 2)
         with pytest.raises(ValueError):

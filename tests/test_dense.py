@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from sylgmres import dense
 from sylgmres.dense import (
     hessenberg_lsq,
     reduced_qr,
@@ -319,11 +320,14 @@ class TestSmallSolve:
 
 
 def front_end_lsq(h, c):
-    """hessenberg_lsq through the scipy.linalg front ends: (y, residual, rho,
-    degenerate)."""
+    """hessenberg_lsq through the scipy.linalg front ends, with g = Q^T c from
+    qr's raw reflectors by scipy's ormqr at its workspace query's optimum:
+    (y, residual, rho, degenerate)."""
     m = h.shape[1]
-    q, r = scipy.linalg.qr(h)
-    g = q.T @ c
+    (qr, tau), r = scipy.linalg.qr(h, mode="raw")
+    ormqr = scipy.linalg.lapack.dormqr
+    lwork = int(ormqr("L", "T", qr, tau, c, -1)[1][0])
+    g = ormqr("L", "T", qr, tau, c, lwork)[0]
     degenerate = bool(m and np.any(np.abs(np.diagonal(r)) <= 1e-14 * np.linalg.norm(h)))
     if degenerate:
         y = np.linalg.lstsq(r[:m], g[:m], rcond=None)[0]
@@ -464,6 +468,14 @@ class TestBitwiseFrontEnds:
         for q_cols in (cols, rows):  # economic and full Q
             query = lapack.dorgqr(np.zeros((rows, q_cols)), np.zeros(cols), lwork=-1)
             assert query[1][0] <= 64 * q_cols
+
+    @pytest.mark.parametrize("rows", [2, 11, 41, 301])
+    def test_ormqr_workspace_covers_its_query(self, rows):
+        # hessenberg_lsq's dormqr workspace is at least the query's optimum,
+        # so LAPACK blocks the reflectors as test_hessenberg_lsq's reference
+        ormqr = scipy.linalg.lapack.dormqr
+        query = ormqr("L", "T", np.zeros((rows, rows - 1)), np.zeros(rows - 1), np.zeros(rows), -1)
+        assert query[1][0] <= dense._ORMQR_LWORK
 
 
 class TestRetainedChecks:

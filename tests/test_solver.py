@@ -354,6 +354,19 @@ class TestRestartSubspace:
         for a, b in zip(unit, scaled):
             assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
 
+    def test_out_may_overlap_the_basis(self, rng):
+        # numpy's matmul reads a copy of an operand that overlaps its output,
+        # so blocks written over the basis's own workspace are those of out=None
+        op, c, w, beta, dec, sol = run_one_cycle(rng, n=12, s=2, m=6)
+        g_real = select_and_realify(harmonic_pairs(dec.h), 2)
+        expect = restart_subspace(dec, g_real, sol.residual)
+        workspace = dec.basis.base
+        assert workspace.shape == (7, 12, 2) and workspace.flags.writeable
+        got = restart_subspace(dec, g_real, sol.residual, workspace)
+        assert np.shares_memory(got[0], dec.basis)
+        for a, b in zip(got, expect):
+            assert np.array_equal(a, b)
+
     def test_workspace_validated(self, rng):
         op, c, w, beta, dec, sol = run_one_cycle(rng, n=12, s=2, m=6)
         g_real = select_and_realify(harmonic_pairs(dec.h), 2)
@@ -743,6 +756,24 @@ class TestExtremeScales:
         with pytest.raises(ValueError, match="finite positive"):
             wglgmres_dr(op, gen_rhs(64, 4, 3, density=0.5), SolverConfig(m=8),
                         x0=np.full(op.shape, 1e307))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("strat", ["mean", "identity", "max-col"])
+    def test_overflowing_weighted_residual_norm_raises(self, strat):
+        # from x0 = 1e290 the first residual and its Frobenius norm are
+        # finite, but the mean weight grows with |R|, so ||R||_D overflows and
+        # the check after the weight is built names it; under the identity and
+        # the normalized max-col weight the first cycle runs
+        op = SylvesterOperator(fdm_matrix(FdmSpec(10, *COEFFICIENT_PRESETS["varcoef1"])),
+                               fdm_matrix(FdmSpec(2, *COEFFICIENT_PRESETS["varcoef2"])))
+        c, x0 = gen_rhs(op.n, op.s, 7), np.full(op.shape, 1e290)
+        cfg = SolverConfig(m=6, k=2, maxit=1, strategy=WeightStrategy(strat))
+        if strat != "mean":
+            assert wglgmres_dr(op, c, cfg, x0=x0).cycles == 1
+            return
+        with pytest.raises(ValueError, match=r"^cycle 1: the weighted residual norm is inf, "
+                                             r"not a finite positive float$"):
+            wglgmres_dr(op, c, cfg, x0=x0)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("e", [-600, -500, 500, 540])

@@ -80,15 +80,15 @@ class TestFlooringAndDegeneracy:
         assert np.all(w.data > 0.0)
 
     @pytest.mark.parametrize("s", range(1, 8))
-    def test_mean_is_numpys_mean_bit_for_bit(self, s, rng):
-        # the row sums run column by column, the order in which numpy sums
-        # rows of fewer than 8 entries, so the weight is numpy's exactly
+    def test_mean_is_one_gemv_bit_for_bit(self, s, rng):
+        # the row means are one matrix-vector product with the vector of
+        # 1/s, in C and in F order, so the weight is that product exactly
         r = rng.standard_normal((40, s)) * 10.0 ** rng.integers(-150, 150, (40, s))
         r[::6] = 0.0
         r[1] = 1.0
         r[1, -1] = 1.0 - s  # cancels exactly
         for res in (r, np.asfortranarray(r)):
-            d = np.abs(res.mean(axis=1))
+            d = np.abs(res @ np.full(s, 1 / s))
             expect = np.maximum(d, 1e-12 * d.max())
             w = make_weight(WeightStrategy("mean"), residual=res)
             assert np.array_equal(w.data, np.repeat(expect[:, None], s, axis=1))

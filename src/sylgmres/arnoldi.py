@@ -192,9 +192,7 @@ def arnoldi_run(op, v, weight, m):
     """
     if m < 1:
         raise ValueError("step count m must be >= 1")
-    v = as_block(v)
-    if v.shape != op.shape:
-        raise ValueError(f"start block shape {v.shape} does not match operator {op.shape}")
+    v = as_block(v, op.shape, "start block")
     beta = weighted_norm(v, weight)
     if beta == 0.0:
         raise ValueError("start block must be nonzero")

@@ -5,12 +5,15 @@ atom.  The inner product of two blocks Y, Z under an entrywise-positive n x s
 weight W is trace(Z^T (W * Y)), with * the Hadamard product; a positive
 diagonal D is the W that repeats D over the columns, giving trace(Z^T D Y).
 The diamond product of two block sequences collects all pairwise weighted
-inner products into a small Gram matrix.
+inner products into a small Gram matrix; the inner product of two blocks is
+its 1 x 1 case, so one kernel computes every weighted inner product.
 
-Block vectors are plain C-ordered float64 ndarrays.  A sequence of r blocks
-is one C-ordered (r, n, s) array, so its (r, n*s) reshape is a view: the
-diamond product is one matrix product of two such views and a basis
-combination one vector-matrix product.  Sparse matrices are scipy CSR arrays.
+Block vectors are plain C-ordered float64 ndarrays.  ``as_block`` states the
+contract of a block given from outside once: 2-dimensional, finite and of
+its operator's (n, s) shape.  A sequence of r blocks is one C-ordered
+(r, n, s) array, so its (r, n*s) reshape is a view: the diamond product is
+one matrix product of two such views and a basis combination one
+vector-matrix product.  Sparse matrices are scipy CSR arrays.
 """
 
 from __future__ import annotations
@@ -35,14 +38,19 @@ __all__ = [
 ]
 
 
-def as_block(x, name="block"):
-    """Coerce ``x`` to a C-ordered float64 2d array with finite entries, the
-    layout of the Arnoldi blocks; such an array is returned as is, not copied."""
+def as_block(x, shape, name="block"):
+    """Coerce ``x`` to a block of an operator of ``shape`` (n, s): a C-ordered
+    float64 2d array with finite entries, the layout of the Arnoldi blocks;
+    such an array is returned as is, not copied.  ValueError naming ``name``
+    unless ``x`` is 2-dimensional, then finite, then of ``shape``, checked in
+    that order."""
     b = np.ascontiguousarray(x, dtype=np.float64)
     if b.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {b.shape}")
     if not np.isfinite(b).all():
         raise ValueError(f"{name} contains non-finite entries")
+    if b.shape != shape:
+        raise ValueError(f"{name} shape {b.shape} does not match operator {shape}")
     return b
 
 
@@ -106,6 +114,11 @@ def frob(x):
     whatever its layout, so one BLAS dot sums the squares; rescaled as in
     _root."""
     return _norm(np.asarray(x, dtype=np.float64).ravel())
+
+
+def _finite_norm(a, what):
+    """frob(a) for a finite array; ValueError naming ``what`` otherwise."""
+    return _root(_sumsq, a, _finite_sumsq(a, what))
 
 
 class Weight:
@@ -183,10 +196,9 @@ class SylvesterOperator:
     def __init__(self, a, b):
         self.a = as_csr(a, name="A")
         self.b = as_csr(b, name="B")
-        if self.a.shape[0] != self.a.shape[1]:
-            raise ValueError(f"A must be square, got {self.a.shape}")
-        if self.b.shape[0] != self.b.shape[1]:
-            raise ValueError(f"B must be square, got {self.b.shape}")
+        for name, mat in (("A", self.a), ("B", self.b)):
+            if mat.shape[0] != mat.shape[1]:
+                raise ValueError(f"{name} must be square, got {mat.shape}")
         self.n = self.a.shape[0]
         self.s = self.b.shape[0]
         self.b_dense = self.b.toarray() if self.s <= DENSE_B_MAX_S else None
@@ -230,15 +242,10 @@ def _weight_entries(weight, shape):
 
 
 def weighted_inner(y, z, weight):
-    """Weighted inner product trace(Z^T (W * Y)) of two equally shaped blocks."""
-    y = np.asarray(y)
-    z = np.asarray(z)
-    if y.shape != z.shape:
-        raise ValueError(f"block shapes differ: {y.shape} vs {z.shape}")
-    w = _weight_entries(weight, y.shape)
-    if w is None:
-        return float(np.vdot(y, z))
-    return float(np.einsum("ij,ij,ij->", w, y, z))
+    """Weighted inner product trace(Z^T (W * Y)) of two equally shaped blocks:
+    the 1 x 1 :func:`diamond_product` of the one-block stacks, whose checks
+    (equal block shapes, the weight's shape) and one matrix product it runs."""
+    return float(diamond_product(np.asarray(y)[None], np.asarray(z)[None], weight)[0, 0])
 
 
 def weighted_norm(y, weight):

@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg.lapack import dgeqrf, dgetrf, dgetrs, dormqr, dorgqr, dtrtrs
 
-from .core import _finite_sumsq, _root, _sumsq, frob
+from .core import _finite_norm, _finite_sumsq, frob
 
 __all__ = [
     "LsqSolution",
@@ -60,11 +60,6 @@ def _lapack(routine, *args, **kwargs):
     if info < 0:
         raise ValueError(f"LAPACK reported an illegal value in argument {-info}")
     return out, info
-
-
-def _finite_norm(a, what):
-    """frob(a) for a finite array; ValueError naming ``what`` otherwise."""
-    return _root(_sumsq, a, _finite_sumsq(a, what))
 
 
 def _qr(a):

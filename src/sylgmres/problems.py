@@ -275,9 +275,7 @@ def kron_solve(op, c):
     problems with n*s above the desk-scale cap (ValueError), and raises
     LinAlgError for a singular linearization (it has no unique solution).
     """
-    c = as_block(c, name="right-hand side")
-    if c.shape != op.shape:
-        raise ValueError(f"right-hand side shape {c.shape} does not match operator {op.shape}")
+    c = as_block(c, op.shape, "right-hand side")
     n, s = op.shape
     if n * s > KRON_MAX:
         raise ValueError(f"kron_solve is capped at n*s <= {KRON_MAX}, got {n * s}")

@@ -315,16 +315,12 @@ def wglgmres(op, c, cfg, x0=None):
 def wglgmres_dr(op, c, cfg, x0=None):
     """Weighted global GMRES with deflated restarting (plain when k = 0)."""
     t0 = time.perf_counter()
-    c = as_block(c, name="right-hand side")
-    if c.shape != op.shape:
-        raise ValueError(f"right-hand side shape {c.shape} does not match operator {op.shape}")
+    c = as_block(c, op.shape, "right-hand side")
     norm_c_f_in = frob(c)
     if not norm_c_f_in < np.inf:
         raise ValueError(f"||C||_F is {norm_c_f_in}, not a finite float; rescale C")
     e = math.frexp(norm_c_f_in)[1] & ~1  # the entry scaling of the module docstring
-    x = np.zeros(op.shape) if x0 is None else np.ldexp(as_block(x0, name="x0"), -e)
-    if x.shape != op.shape:
-        raise ValueError(f"initial guess shape {x.shape} does not match operator {op.shape}")
+    x = np.zeros(op.shape) if x0 is None else np.ldexp(as_block(x0, op.shape, "initial guess"), -e)
 
     c_in, c, norm_c_f = c, np.ldexp(c, -e), math.ldexp(norm_c_f_in, -e)
     r = c - op.apply(x)

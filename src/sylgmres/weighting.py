@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Weight, frob
+from .core import Weight, _finite_norm
 
 __all__ = ["WeightStrategy", "STRATEGY_KINDS", "make_weight"]
 
@@ -78,7 +78,10 @@ def make_weight(strategy, residual=None, rhs=None):
 
     ``residual`` feeds the max-col/min-col/mean strategies (and sizes the
     random one); ``rhs`` feeds hadamard.  A numerically zero residual
-    degrades to the identity weight, recorded in the weight's tag.
+    degrades to the identity weight, recorded in the weight's tag.  An inf
+    or NaN entry raises ValueError before any division by it: "residual
+    (right-hand side for hadamard) contains non-finite entries", or for
+    ``mean`` "weight entries must be finite and > 0".
     """
     kind = strategy.kind
     if kind == "identity":
@@ -88,7 +91,7 @@ def make_weight(strategy, residual=None, rhs=None):
         if rhs is None:
             raise ValueError("hadamard weighting needs the right-hand side block")
         c = np.asarray(rhs, dtype=np.float64)
-        nrm = frob(c)
+        nrm = _finite_norm(c, "right-hand side")
         if nrm == 0.0:
             return Weight.identity(tag="identity[degenerate:hadamard]")
         w = np.sqrt(c.size) * np.abs(c) / nrm
@@ -116,6 +119,8 @@ def make_weight(strategy, residual=None, rhs=None):
         return _floored(values, r.shape, "mean", mx)
 
     big = float(np.abs(r).max())
+    if not big < np.inf:  # an inf or NaN entry; r / big would warn for an inf
+        raise ValueError("residual contains non-finite entries")
     if big < _ZERO_RESIDUAL:
         return Weight.identity(tag=f"identity[degenerate:{kind}]")
 

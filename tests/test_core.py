@@ -124,8 +124,17 @@ class TestWeightedInner:
         expect = np.trace(z.T @ (wm * y))
         assert weighted_inner(y, z, w) == pytest.approx(expect, rel=1e-13)
 
+    @pytest.mark.parametrize("kind", ["identity", "diagonal", "elementwise"])
+    def test_is_the_one_by_one_diamond_product(self, kind, rng):
+        n, s = 6, 3
+        weight = {"identity": Weight.identity(),
+                  "diagonal": Weight.diagonal(rng.uniform(0.2, 3.0, n), s),
+                  "elementwise": Weight(rng.uniform(0.2, 3.0, (n, s)))}[kind]
+        y, z = random_block(rng, n, s), random_block(rng, n, s)
+        assert weighted_inner(y, z, weight) == diamond_product(y[None], z[None], weight)[0, 0]
+
     def test_shape_mismatch(self, rng):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^block shapes differ: \(3, 2\) vs \(2, 3\)$"):
             weighted_inner(random_block(rng, 3, 2), random_block(rng, 2, 3), Weight.identity())
         with pytest.raises(ValueError):
             weighted_inner(random_block(rng, 3, 2), random_block(rng, 3, 2),
@@ -341,20 +350,31 @@ class TestStackedBlocks:
 class TestAsBlock:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
-            as_block(np.array([[np.nan, 1.0]]))
+            as_block(np.array([[np.nan, 1.0]]), (1, 2))
 
     def test_rejects_1d(self):
         with pytest.raises(ValueError):
-            as_block(np.ones(3))
+            as_block(np.ones(3), (3, 1))
 
     def test_c_ordered_without_copy(self):
         c_ordered = np.ones((3, 2))
-        assert as_block(c_ordered) is c_ordered
+        assert as_block(c_ordered, (3, 2)) is c_ordered
         for x in (np.asfortranarray(c_ordered), np.ones((3, 2), dtype=np.float32),
                   [[1, 2], [3, 4]]):
-            b = as_block(x)
+            b = as_block(x, np.shape(x))
             assert b.flags.c_contiguous and b.dtype == np.float64
             assert np.array_equal(b, x)
+
+    @pytest.mark.parametrize("x, message", [
+        (np.ones(6), r"^start block must be 2-dimensional, got shape \(6,\)$"),
+        (np.full((2, 3), np.inf), "^start block contains non-finite entries$"),
+        (np.ones((2, 3)), r"^start block shape \(2, 3\) does not match operator \(3, 2\)$"),
+    ])
+    def test_contract_checked_in_order(self, x, message):
+        # 2-dimensional, then finite, then the operator's shape: the inf
+        # block is refused for its entries before its shape
+        with pytest.raises(ValueError, match=message):
+            as_block(x, (3, 2), "start block")
 
 
 def _snapshot(mat):
@@ -414,3 +434,9 @@ def test_input_refusals():
         SylvesterOperator(np.eye(4), np.ones((2, 3)))
     with pytest.raises(ValueError, match="coefficient matrix contains non-finite entries"):
         as_csr(sp.csr_array(np.array([[1.0, np.inf], [0.0, 2.0]])), name="coefficient matrix")
+
+
+def test_reprs():
+    assert repr(Weight.identity()) == "Weight(shape=None, tag='identity')"
+    assert repr(Weight.diagonal(np.ones(3), 2, tag="mean")) == "Weight(shape=(3, 2), tag='mean')"
+    assert repr(SylvesterOperator(np.eye(3), np.eye(2))) == "SylvesterOperator(n=3, s=2)"

@@ -440,7 +440,7 @@ class TestWglgmresDr:
                                fdm_matrix(FdmSpec(2, *COEFFICIENT_PRESETS["varcoef2"])))
         c = gen_rhs(op.n, op.s, 2)
         rep = wglgmres_dr(op, c, SolverConfig(m=10, tol=1e-10, record_cycles=True))
-        r = as_block(c) - apply_sylvester(op, np.zeros(op.shape))
+        r = as_block(c, op.shape) - apply_sylvester(op, np.zeros(op.shape))
         beta = weighted_norm(r, Weight.identity())
         first = rep.traces[0]
         assert first.prefix_blocks == 1

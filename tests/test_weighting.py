@@ -1,5 +1,7 @@
 """Residual-driven weighting strategies."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,24 @@ class TestInvariants:
             make_weight(WeightStrategy("mean"))
         with pytest.raises(ValueError):
             make_weight(WeightStrategy("hadamard"))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind, message", [
+    ("mean", "^weight entries must be finite and > 0$"),
+    ("max-col", "^residual contains non-finite entries$"),
+    ("min-col", "^residual contains non-finite entries$"),
+    ("hadamard", "^right-hand side contains non-finite entries$"),
+])
+def test_non_finite_input_raises_before_dividing(kind, message, bad):
+    # an inf divided by the largest entry or by the norm is inf / inf, whose
+    # "invalid value" RuntimeWarning would come before the ValueError
+    x = np.ones((5, 2))
+    x[3, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            make_weight(WeightStrategy(kind), residual=x, rhs=x)
 
 
 def test_input_refusals():

@@ -12,14 +12,17 @@ with the just-computed residual direction, and continues the Arnoldi process
 from that prefix instead of starting over.  All deflation failures degrade
 to a plain restart; they never abort a solve.
 
-Convergence is declared when the cheap projected estimate
-``||c - H y||_2 / ||C||_D`` meets the tolerance and the explicitly formed
-residual R = C - A X - X B confirms it both in that weighted norm and in the
-Frobenius norm, ``||R||_F / ||C||_F <= tol``.  R is formed once per cycle
-anyway, so the Frobenius check costs no operator application.  The cycles
-solve 2^-e C from 2^-e x0, e the even integer that puts ``||2^-e C||_F`` in
-[1/2, 2), exact scalings also of the mean weight's |C|^1.5 norms; the iterate
-is scaled back by 2^e, and its recomputed residual must meet tol too.
+A cycle ends the solve when both values its CycleRecord holds meet the
+tolerance: the cheap projected estimate ``||c - H y||_2 / ||C||_D`` in the
+cycle's weighted norm, and the explicitly formed residual R = C - A X - X B
+in the Frobenius norm, ``||R||_F / ||C||_F <= tol``.  The weight changes the
+norm a cycle minimizes, not the residual the solve must reach.  R is formed
+once per cycle anyway, to start the next one, so the check costs no operator
+application; R's weighted norm is taken once, in the weight of the cycle that
+starts from it.  The cycles solve 2^-e C from 2^-e x0, e the even integer
+that puts ``||2^-e C||_F`` in [1/2, 2), exact scalings also of the mean
+weight's |C|^1.5 norms; the iterate is scaled back by 2^e, and its
+recomputed residual must meet tol too.
 """
 
 from __future__ import annotations
@@ -96,6 +99,11 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class CycleRecord:
+    """One cycle's row of the history.  ``est_resnorm`` is the projected
+    estimate and ``true_resnorm`` the explicit ||R||_F / ||C||_F after the
+    cycle; the stop rule reads these two (module docstring), so the last
+    record of a converged solve is the first where both meet tol."""
+
     cycle: int
     cumulative_iter: int
     est_resnorm: float
@@ -355,7 +363,7 @@ def wglgmres_dr(op, c, cfg, x0=None):
         if weight is None or follows:
             weight = make_weight(cfg.strategy, residual=r, rhs=c)
             norm_c_d = weighted_norm(c, weight)
-            beta = weighted_norm(r, weight)
+        beta = weighted_norm(r, weight)
         if not math.isfinite(beta) or (beta == 0.0 and r.any()):  # NaN, over- or underflow
             raise ValueError(f"cycle {cycle}: the weighted residual norm is {beta}, "
                              "not a finite positive float")
@@ -388,16 +396,14 @@ def wglgmres_dr(op, c, cfg, x0=None):
                                      len(h_prefix), replace(dec, basis=dec.basis.copy()),
                                      np.ldexp(cvec, e), np.ldexp(sol.y, e), math.ldexp(beta, e)))
         np.subtract(c, op.apply(x), out=r)
-        beta = weighted_norm(r, weight)  # the next cycle's, unless the weight changes
 
         est = sol.rho / norm_c_d
-        explicit = beta / norm_c_d
         r_norm = frob(r)
         true_rel = r_norm / norm_c_f
         history.append(CycleRecord(cycle, cum_iter, est, true_rel,
                                    weight.tag, time.perf_counter() - t0))
 
-        if est <= cfg.tol and explicit <= cfg.tol and true_rel <= cfg.tol:
+        if est <= cfg.tol and true_rel <= cfg.tol:
             converged = True
             break
         if cycle == cfg.maxit:

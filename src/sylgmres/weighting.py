@@ -94,6 +94,9 @@ def make_weight(strategy, residual=None, rhs=None):
         nrm = _finite_norm(c, "right-hand side")
         if nrm == 0.0:
             return Weight.identity(tag="identity[degenerate:hadamard]")
+        big = float(np.abs(c).max())
+        if not 1e-150 <= big <= 1e150:  # sqrt(c.size) * |c| could overflow
+            return make_weight(strategy, rhs=c / big)
         w = np.sqrt(c.size) * np.abs(c) / nrm
         return _floored(w, c.shape, "hadamard")
 

@@ -478,15 +478,46 @@ class TestWglgmresDr:
         cfg = SolverConfig(m=4, k=2, strategy=WeightStrategy(strat), record_cycles=True)
         rep = wglgmres_dr(op, c, cfg)
         assert rep.converged and rep.cycles >= 3
-        # ||C||_D and the first beta once per weight, then one norm per residual
+        # ||C||_D once per weight, and beta once per cycle, for the residual it
+        # starts from; the residual that ends the solve is not weighted
         weights = rep.cycles if cfg.strategy.follows_residual else 1
-        assert len(calls) == 2 * weights + rep.cycles
+        assert len(calls) == weights + rep.cycles
         # each trace keeps the beta its own cycle started from
         x = np.zeros(op.shape)
         for t in rep.traces:
             expect = weighted_norm(c - apply_sylvester(op, x), t.weight)
             assert t.beta == pytest.approx(expect, rel=1e-10)
             x = rep_x_after(rep, t)
+
+    @staticmethod
+    def _desk_operator():
+        return SylvesterOperator(fdm_matrix(FdmSpec(16, *COEFFICIENT_PRESETS["varcoef1"])),
+                                 fdm_matrix(FdmSpec(2, *COEFFICIENT_PRESETS["varcoef2"])))
+
+    def test_weighted_residual_norm_does_not_hold_a_solve(self):
+        # after cycle 9 the estimate and ||R||_F / ||C||_F both meet tol, while
+        # R in the max-col weighted norm does not; that norm is not the one
+        # the solve must reach, so the solve ends there
+        op = self._desk_operator()
+        cfg = SolverConfig(m=10, k=5, tol=1e-6, strategy=WeightStrategy("max-col"))
+        rep = wglgmres_dr(op, gen_rhs(op.n, op.s, 10), cfg)
+        assert rep.converged
+        assert (rep.cycles, rep.history[-1].cumulative_iter) == (9, 50)
+        assert rep.true_resnorm == pytest.approx(9.68e-7, rel=1e-3)
+
+    @pytest.mark.parametrize("maxit", [3, 2500])
+    @pytest.mark.parametrize("seed", [1, 2, 10])
+    @pytest.mark.parametrize("k", [0, 5])
+    @pytest.mark.parametrize("strat", STRATEGY_KINDS)
+    def test_stops_at_the_first_record_meeting_tol(self, strat, k, seed, maxit):
+        op = self._desk_operator()
+        ws = WeightStrategy(strat, seed=3 if strat == "random" else None)
+        cfg = SolverConfig(m=10, k=k, tol=1e-6, maxit=maxit, strategy=ws)
+        rep = wglgmres_dr(op, gen_rhs(op.n, op.s, seed), cfg)
+        assert rep.converged == (maxit == 2500)
+        meets = [h.est_resnorm <= cfg.tol and h.true_resnorm <= cfg.tol for h in rep.history]
+        first = meets.index(True) if any(meets) else None
+        assert first == (len(rep.history) - 1 if rep.converged else None)
 
     @pytest.mark.parametrize("k", [0, 5])
     @pytest.mark.parametrize("strat", ["identity", "mean"])

@@ -133,7 +133,7 @@ class TestFlooringAndDegeneracy:
         w = make_weight(WeightStrategy("max-col"), residual=r)
         assert w.data is None and w.tag == "identity[degenerate:max-col]"
 
-    @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160, 1e200])
+    @pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160, 1e200, 1e307])
     @pytest.mark.parametrize("kind", ["max-col", "min-col", "hadamard"])
     def test_normalized_weights_do_not_depend_on_scale(self, kind, scale, rng):
         # the column norms' squares would under- or overflow at these scales

@@ -21,7 +21,7 @@ import csv
 import json
 import sys
 import typing
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -200,14 +200,9 @@ def _compare(cfgs, make_out_dir=False):
     unusable directory costs a solve."""
     if not cfgs:
         raise UsageError("no variants to compare")
-    base = None
     for cfg in cfgs:
         cfg.validate()
-        core = {name: value for name, value in asdict(cfg).items()
-                if name not in ("variant", "strategy", "m", "k")}
-        if base is None:
-            base = core
-        elif core != base:
+        if cfg != replace(cfgs[0], variant=cfg.variant, strategy=cfg.strategy, m=cfg.m, k=cfg.k):
             raise UsageError("compared configs may differ only in variant, strategy, m and k")
     solver_cfgs = [_solver_config(cfg) for cfg in cfgs]
     out_dir = None

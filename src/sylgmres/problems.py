@@ -130,11 +130,9 @@ def fdm_matrix(spec):
         indices[pos] = rows[keep] + offset
         data[pos] = op(lap, f[keep] / (2.0 * h))
 
-    if not np.isfinite(data).all():
-        raise ValueError("matrix contains non-finite entries")
     mat = sp.csr_array((data, indices, indptr), shape=(n, n))
-    mat.has_canonical_format = True
-    return mat
+    mat.has_canonical_format = True  # so as_csr keeps it without a scan
+    return as_csr(mat)
 
 
 def _parse_header(path, line):
@@ -165,54 +163,54 @@ def read_matrix_market(path):
     if not lines:
         raise MatrixMarketError(path, 1, "empty file")
     symmetry = _parse_header(path, lines[0])
+    # (line number, stripped text) of every line after the header that is
+    # neither blank nor a comment: the size line first, then the entries
+    body = [(lineno, text) for lineno, line in enumerate(lines[1:], start=2)
+            if (text := line.strip()) and not text.startswith("%")]
+    end = len(lines) + 1  # the line a missing size line or entry is reported at
+    if not body:
+        raise MatrixMarketError(path, end, "missing size line")
+    (lineno, text), entries = body[0], body[1:]
+    parts = text.split()
+    if len(parts) != 3:
+        raise MatrixMarketError(path, lineno, "size line must be 'rows cols nnz'")
+    try:
+        n, ncols, nnz = (int(p) for p in parts)
+    except ValueError:
+        raise MatrixMarketError(path, lineno, f"non-integer size line {text!r}") from None
+    if n < 1 or ncols < 1 or nnz < 0:
+        raise MatrixMarketError(path, lineno, "matrix dimensions must be positive")
+    if n != ncols:
+        raise MatrixMarketError(
+            path, lineno, f"matrix must be square, got {n} x {ncols}"
+        )
 
-    lineno = 1
-    nrows = ncols = nnz = None
-    entries_read = 0
     ri = []
     ci = []
     vv = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        parts = stripped.split()
-        if nrows is None:
-            if len(parts) != 3:
-                raise MatrixMarketError(path, lineno, "size line must be 'rows cols nnz'")
-            try:
-                nrows, ncols, nnz = (int(p) for p in parts)
-            except ValueError:
-                raise MatrixMarketError(path, lineno, f"non-integer size line {stripped!r}") from None
-            if nrows < 1 or ncols < 1 or nnz < 0:
-                raise MatrixMarketError(path, lineno, "matrix dimensions must be positive")
-            if nrows != ncols:
-                raise MatrixMarketError(
-                    path, lineno, f"matrix must be square, got {nrows} x {ncols}"
-                )
-            continue
-        if entries_read == nnz:
+    for count, (lineno, text) in enumerate(entries):
+        if count == nnz:
             raise MatrixMarketError(path, lineno, f"more than the declared {nnz} entries")
+        parts = text.split()
         if len(parts) != 3:
             raise MatrixMarketError(path, lineno, "entry line must be 'row col value'")
         try:
             i = int(parts[0])
             j = int(parts[1])
         except ValueError:
-            raise MatrixMarketError(path, lineno, f"non-integer index in {stripped!r}") from None
+            raise MatrixMarketError(path, lineno, f"non-integer index in {text!r}") from None
         try:
             v = float(parts[2].replace("d", "e").replace("D", "E"))
         except ValueError:
             raise MatrixMarketError(path, lineno, f"non-real value {parts[2]!r}") from None
-        if not (1 <= i <= nrows) or not (1 <= j <= ncols):
+        if not (1 <= i <= n) or not (1 <= j <= n):
             raise MatrixMarketError(
-                path, lineno, f"index ({i}, {j}) outside the {nrows} x {ncols} matrix"
+                path, lineno, f"index ({i}, {j}) outside the {n} x {n} matrix"
             )
         if symmetry == "symmetric" and i < j:
             raise MatrixMarketError(
                 path, lineno, "symmetric files must store the lower triangle (row >= col)"
             )
-        entries_read += 1
         ri.append(i - 1)
         ci.append(j - 1)
         vv.append(v)
@@ -220,16 +218,13 @@ def read_matrix_market(path):
             ri.append(j - 1)
             ci.append(i - 1)
             vv.append(v)
-
-    if nrows is None:
-        raise MatrixMarketError(path, lineno + 1, "missing size line")
-    if entries_read != nnz:
+    if len(entries) != nnz:
         raise MatrixMarketError(
-            path, lineno + 1, f"expected {nnz} entries, file ends after {entries_read}"
+            path, end, f"expected {nnz} entries, file ends after {len(entries)}"
         )
     coo = sp.coo_array(
         (np.array(vv, dtype=np.float64), (np.array(ri, dtype=np.int64), np.array(ci, dtype=np.int64))),
-        shape=(nrows, ncols),
+        shape=(n, n),
     )
     return as_csr(coo)
 

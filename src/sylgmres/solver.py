@@ -19,7 +19,9 @@ in the Frobenius norm, ``||R||_F / ||C||_F <= tol``.  The weight changes the
 norm a cycle minimizes, not the residual the solve must reach.  R is formed
 once per cycle anyway, to start the next one, so the check costs no operator
 application; R's weighted norm is taken once, in the weight of the cycle that
-starts from it.  The cycles solve 2^-e C from 2^-e x0, e the even integer
+starts from it.  A residual that is exactly zero ends the solve, converged,
+at the top of the cycle that would start from it, before a weight is built
+from it.  The cycles solve 2^-e C from 2^-e x0, e the even integer
 that puts ``||2^-e C||_F`` in [1/2, 2), exact scalings also of the mean
 weight's |C|^1.5 norms; the iterate is scaled back by 2^e, and its
 recomputed residual must meet tol too.
@@ -360,16 +362,16 @@ def wglgmres_dr(op, c, cfg, x0=None):
         if not r_norm < math.inf:
             raise ValueError(f"cycle {cycle}: the residual norm is {r_norm}, "
                              "not a finite positive float")
+        if r_norm == 0.0:  # ends the solve before a weight is built from R
+            converged = True
+            break
         if weight is None or follows:
             weight = make_weight(cfg.strategy, residual=r, rhs=c)
             norm_c_d = weighted_norm(c, weight)
         beta = weighted_norm(r, weight)
-        if not math.isfinite(beta) or (beta == 0.0 and r.any()):  # NaN, over- or underflow
+        if not 0.0 < beta < math.inf:  # NaN, over- or underflow
             raise ValueError(f"cycle {cycle}: the weighted residual norm is {beta}, "
                              "not a finite positive float")
-        if beta == 0.0:
-            converged = True
-            break
 
         if prefix is None:
             # a plain restart is the one-block prefix r / beta

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from sylgmres import SylvesterOperator
 
@@ -35,6 +37,24 @@ def random_hessenberg(rng, m):
 def kron_matrix(op):
     """Dense Kronecker linearization of a Sylvester operator."""
     return np.kron(np.eye(op.s), op.a.toarray()) + np.kron(op.b.toarray().T, np.eye(op.n))
+
+
+def bartels_stewart(op, c):
+    """Sparse direct solve of AX + XB = C, for problems above kron_solve's cap.
+
+    With B's complex Schur form B = U T U^H and Y = X U, the equation reads
+    A Y + Y T = C U with T upper triangular, so column j of Y is one sparse
+    LU solve with A + T_jj I whose right-hand side holds the columns before
+    it; X = Y U^H, real for a real problem.
+    """
+    t, u = scipy.linalg.schur(op.b.toarray(), output="complex")
+    rhs = np.asarray(c) @ u
+    a = sp.csc_array(op.a)
+    eye = sp.csc_array(sp.identity(op.n))
+    y = np.empty_like(rhs)
+    for j in range(op.s):
+        y[:, j] = splu(a + t[j, j] * eye).solve(rhs[:, j] - y[:, :j] @ t[:j, j])
+    return (y @ u.conj().T).real
 
 
 @pytest.fixture

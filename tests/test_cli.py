@@ -158,6 +158,26 @@ class TestCompareVariants:
         with pytest.raises(UsageError):
             compare_variants([c1, c2])
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 8), ("density", 0.3), ("tol", 1e-8), ("maxit", 100), ("fdm_n0", 12),
+        ("fdm_s0", 3), ("preset_a", "varcoef3"), ("preset_b", "laplace"),
+        ("matrix_a", "a.mtx"), ("matrix_b", "b.mtx"), ("out", "elsewhere"),
+    ])
+    def test_each_problem_field_must_match(self, field, value, monkeypatch):
+        # refused before the problem is built, even alongside a change of
+        # variant, strategy, m and k, which alone are allowed
+        def no_build(cfg):
+            raise AssertionError("the problem was built")
+
+        monkeypatch.setattr(cli, "build_problem", no_build)
+        first = ExperimentConfig(variant="glgmres", strategy="identity", m=4, fdm_n0=6)
+        other = replace(first, variant="wglgmres-d", strategy="mean", m=6, k=2)
+        with pytest.raises(UsageError, match="^compared configs may differ only in variant, "
+                                             "strategy, m and k$"):
+            compare_variants([first, replace(other, **{field: value})])
+        with pytest.raises(AssertionError, match="the problem was built"):
+            compare_variants([first, other])
+
 
 class TestMainEntry:
     def test_run_identity_exit_zero(self, tmp_path, capsys):

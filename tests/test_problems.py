@@ -10,7 +10,7 @@ import scipy.io
 import scipy.linalg
 import scipy.sparse as sp
 
-from sylgmres import SylvesterOperator, kron_solve
+from sylgmres import SolverConfig, SylvesterOperator, WeightStrategy, kron_solve, wglgmres_dr
 from sylgmres.cli import COEFFICIENT_PRESETS
 from sylgmres.core import apply_sylvester, frob
 from sylgmres.problems import (
@@ -23,10 +23,12 @@ from sylgmres.problems import (
     write_matrix_market,
 )
 
-from conftest import kron_matrix, random_block, random_operator
+from conftest import bartels_stewart, kron_matrix, random_block, random_operator
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOOD_FILES = ["single.mtx", "sym2.mtx", "identity4.mtx", "sym3.mtx", "general6.mtx"]
+GENERAL = "%%MatrixMarket matrix coordinate real general\n"
+SYMMETRIC = "%%MatrixMarket matrix coordinate real symmetric\n"
 
 
 class TestFdmMatrix:
@@ -241,6 +243,17 @@ class TestMatrixMarketRead:
          "non-integer index in '1.5 1 2.0'"),
         ("%%MatrixMarket matrix coordinate real general\n% only a comment\n", 3,
          "missing size line"),
+        # a malformed entry is reported before a later surplus line
+        (GENERAL + "2 2 1\n1 1 x\n2 2 1.0\n", 3, "non-real value 'x'"),
+        # line numbers count comment and blank lines, CRLF lines once
+        (GENERAL + "% c\n\n2 2 1\n\n1 1 1.0\n% c\n2 2 1.0\n", 8,
+         "more than the declared 1 entries"),
+        (GENERAL + "2 2 3\n1 1 1.0\n% trailing\n\n", 6,
+         "expected 3 entries, file ends after 1"),
+        (GENERAL.replace("\n", "\r\n") + "2 2 1\r\n\r\n3 1 1.0\r\n", 4,
+         "index (3, 1) outside the 2 x 2 matrix"),
+        (GENERAL + "\n\n", 4, "missing size line"),
+        (GENERAL + "2 3 1\n1 1 1.0\n", 2, "matrix must be square, got 2 x 3"),
     ])
     def test_refusal_message_and_line(self, tmp_path, text, lineno, message):
         path = tmp_path / "bad.mtx"
@@ -249,6 +262,24 @@ class TestMatrixMarketRead:
             read_matrix_market(path)
         assert err.value.lineno == lineno
         assert str(err.value) == f"{path}:{lineno}: {message}"
+
+    @pytest.mark.parametrize("text, expect", [
+        # comments and blank lines before the size line and between entries
+        (GENERAL + "% made by hand\n\n  \n3 3 2\n% first\n\n1 1 2.0\n%\n3 2 -1.5\n\n",
+         [[2.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, -1.5, 0.0]]),
+        (GENERAL.replace("\n", "\r\n") + "2 2 2\r\n1 1 1.0\r\n2 1 3d0\r\n",
+         [[1.0, 0.0], [3.0, 0.0]]),
+        (GENERAL + "2\t2\t2\n1\t1\t1.0\n 2 \t 2  4.0 \n", [[1.0, 0.0], [0.0, 4.0]]),
+        # repeated symmetric entries are summed, and mirrored once summed
+        (SYMMETRIC + "3 3 4\n2 1 1.0\n2 1 2.0\n3 3 1.0\n3 1 -1.0\n",
+         [[0.0, 3.0, -1.0], [3.0, 0.0, 0.0], [-1.0, 0.0, 1.0]]),
+    ], ids=["comments-and-blanks", "crlf", "tabs", "repeated-symmetric"])
+    def test_layouts_read(self, tmp_path, text, expect):
+        path = tmp_path / "ok.mtx"
+        path.write_bytes(text.encode("ascii"))
+        mat = read_matrix_market(path)
+        assert mat.has_canonical_format
+        assert np.array_equal(mat.toarray(), expect)
 
     def test_nonsquare_rejected(self, tmp_path):
         path = tmp_path / "rect.mtx"
@@ -367,3 +398,42 @@ def test_input_refusals(rng):
     with pytest.raises(ValueError,
                        match=r"right-hand side shape \(2, 4\) does not match operator \(4, 2\)"):
         kron_solve(op, np.ones((2, 4)))
+
+
+@pytest.fixture(scope="module")
+def fdm100():
+    """The benchmark's seed-7 problem: varcoef1 (n0 = 100) x varcoef2 (s0 = 2),
+    n·s = 40,000, with its sparse direct solution."""
+    op = fdm_operator(100)
+    c = gen_rhs(op.n, op.s, 7)
+    return op, c, bartels_stewart(op, c)
+
+
+def fdm_operator(n0):
+    return SylvesterOperator(fdm_matrix(FdmSpec(n0, *COEFFICIENT_PRESETS["varcoef1"])),
+                             fdm_matrix(FdmSpec(2, *COEFFICIENT_PRESETS["varcoef2"])))
+
+
+class TestBartelsStewart:
+    """The test-side sparse direct reference reaches the benchmark's problem,
+    ten times past kron_solve's cap, so a solve there is checked by its
+    forward error, not only by its residual."""
+
+    @pytest.mark.parametrize("n0", [12, 20])
+    def test_agrees_with_kron_solve(self, n0):
+        op = fdm_operator(n0)
+        c = gen_rhs(op.n, op.s, 7)
+        expect = kron_solve(op, c)
+        assert frob(bartels_stewart(op, c) - expect) <= 1e-12 * frob(expect)
+
+    def test_residual_at_benchmark_scale(self, fdm100):
+        op, c, x = fdm100
+        assert frob(c - apply_sylvester(op, x)) <= 1e-12 * frob(c)
+
+    def test_forward_error_of_the_weighted_deflated_solve(self, fdm100):
+        # measured 6.9e-6, ten times the residual the solve stops at (6.7e-7)
+        op, c, x = fdm100
+        cfg = SolverConfig(m=10, k=5, tol=1e-6, strategy=WeightStrategy("mean"))
+        report = wglgmres_dr(op, c, cfg)
+        assert report.converged
+        assert frob(report.x - x) <= 1e-4 * frob(x)

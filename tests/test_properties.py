@@ -3,10 +3,11 @@
 The solver examples run every one of the six weight strategies (``random``
 seeded from the example) at every one of five power-of-two scales of C and
 x0, two examples per pair.  Each draws a small random Sylvester problem, a
-deflation count k in {0, 1, m - 2}, a nonzero initial guess and a
-right-hand side with one zero column.  A run that reports convergence must
-have a Frobenius residual at most tol, and its distance to ``kron_solve``'s
-solution must then obey the bound that residual implies.
+deflation count k in {0, 1, m - 2}, the zero or a nonzero initial guess and
+a right-hand side with one zero column whose rows span 14 decades, so that
+the weights built from a residual reach their floor.  A run that reports
+convergence must have a Frobenius residual at most tol, and its distance to
+``kron_solve``'s solution must then obey the bound that residual implies.
 
 The projected-problem examples draw Hessenberg matrices whose square part
 H_m is exactly singular: the least squares must flag the rank deficiency and
@@ -57,17 +58,24 @@ TOL = 1e-8
     n=st.integers(4, 10),
     s=st.integers(2, 3),
     k=st.sampled_from([0, 1, M - 2]),
+    guess=st.booleans(),
 )
-def test_converged_runs_meet_tol_and_match_oracle(strategy, scale, seed, n, s, k):
+def test_converged_runs_meet_tol_and_match_oracle(strategy, scale, seed, n, s, k, guess):
     rng = np.random.default_rng(seed)
     op = random_operator(rng, n, s)
     c = random_block(rng, n, s)
     c[:, rng.integers(s)] = 0.0
+    # the rows of C scaled by 10^u, the u spaced evenly over [-14, 0] in a
+    # random order: from the zero guess the first residual is C, so the
+    # weights built from it reach their floor, FLOOR_REL = 1e-12 times the
+    # largest entry
+    c *= 10.0 ** rng.permutation(np.linspace(-14.0, 0.0, n))[:, None]
     x0 = random_block(rng, n, s)
     ws = WeightStrategy(strategy, seed=seed if strategy == "random" else None)
     cfg = SolverConfig(m=M, k=k, tol=TOL, maxit=300, strategy=ws)
     scaled = scale * c
-    report = (wglgmres_dr if k else wglgmres)(op, scaled, cfg, x0=scale * x0)
+    report = (wglgmres_dr if k else wglgmres)(op, scaled, cfg,
+                                              x0=scale * x0 if guess else None)
     assert report.true_resnorm == frob(scaled - apply_sylvester(op, report.x)) / frob(scaled)
     if not report.converged:
         return

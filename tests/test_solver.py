@@ -463,6 +463,26 @@ class TestWglgmresDr:
         assert rep.converged and rep.cycles >= 3
         assert len(calls) == (rep.cycles if ws.follows_residual else 1)
 
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("strat", STRATEGY_KINDS)
+    def test_zero_initial_residual_builds_no_weight(self, strat, k, rng, monkeypatch):
+        # C = op(x0) exactly, so the first residual is zero: the solve ends
+        # before its first cycle, without a weight built from that residual
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return make_weight(*args, **kwargs)
+
+        monkeypatch.setattr(solver_mod, "make_weight", counting)
+        op = random_operator(rng, 6, 2)
+        x0 = np.ascontiguousarray(random_block(rng, 6, 2))
+        ws = WeightStrategy(strat, seed=3 if strat == "random" else None)
+        rep = wglgmres_dr(op, op.apply(x0), SolverConfig(m=4, k=k, strategy=ws), x0=x0)
+        assert rep.converged and rep.cycles == 0 and rep.true_resnorm == 0.0
+        assert np.array_equal(rep.x, x0)
+        assert calls == []
+
     @pytest.mark.parametrize("strat", ["identity", "mean"])
     def test_one_weighted_norm_per_residual(self, strat, monkeypatch):
         calls = []

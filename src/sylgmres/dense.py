@@ -4,10 +4,13 @@ Each kernel is a few LAPACK calls and the checks its callers rely on: least
 squares on (m+1) x m quasi-Hessenberg matrices by Householder QR (``dgeqrf``),
 whose reflectors ``dormqr`` applies to the right-hand side without forming
 Q; a rank-revealing reduced QR, whose economic Q ``dorgqr`` forms; a real
-nonsymmetric eigensolver with magnitude-sorted pairs; and partial-pivoted
-linear solves with an explicit singularity threshold.  The solver's matrices
-have at most a few hundred rows; ``small_solve`` also serves the Kronecker
-oracle ``problems.kron_solve``, up to ``problems.KRON_MAX`` = 4096 rows.
+nonsymmetric eigensolver with magnitude-sorted pairs; the real Schur form
+(``dgees``) and its reordering (``dtrsen``), whose leading Schur vectors are
+an orthonormal real basis of the invariant subspace of chosen eigenvalues;
+and partial-pivoted linear solves with an explicit singularity threshold.
+The solver's matrices have at most a few hundred rows; ``small_solve`` also
+serves the Kronecker oracle ``problems.kron_solve``, up to
+``problems.KRON_MAX`` = 4096 rows.
 
 The factorizations call ``scipy.linalg.lapack`` wrappers directly, since at
 m = 10 a ``scipy.linalg`` front end adds 15-60 us of argument handling to a
@@ -23,9 +26,10 @@ fraction of a microsecond instead of a numpy scan each.  The sum of squares
 behind a pivot threshold (one BLAS dot, as in ``core.frob``) or the rank
 threshold (the column sums of squares, one einsum) is finite exactly when
 every entry is, short of an overflow, so the full finiteness scan runs only
-when that sum is not finite.  ``small_eig`` leaves the scan to
-``np.linalg.eig``, which makes it anyway, and names the fault only when eig
-fails.
+when that sum is not finite; the Schur kernels take that sum of their
+input only for the check, since ``dgees`` iterates on a NaN without
+complaint.  ``small_eig`` leaves the scan to ``np.linalg.eig``, which makes it
+anyway, and names the fault only when eig fails.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf, dgetrf, dgetrs, dormqr, dorgqr, dtrtrs
+from scipy.linalg.lapack import dgees, dgeqrf, dgetrf, dgetrs, dormqr, dorgqr, dtrsen, dtrtrs
 
 from .core import _finite_norm, _finite_sumsq, frob
 
@@ -43,7 +47,9 @@ __all__ = [
     "LsqSolution",
     "EigenPairSet",
     "hessenberg_lsq",
+    "real_schur",
     "reduced_qr",
+    "reorder_schur",
     "small_eig",
     "small_solve",
 ]
@@ -208,6 +214,47 @@ def small_eig(mat):
     order = np.abs(values).argsort(kind="stable")
     return EigenPairSet(values[order].astype(np.complex128, copy=False),
                         vectors[:, order].astype(np.complex128, copy=False))
+
+
+def real_schur(mat):
+    """Real Schur form ``mat = Z T Z^T`` of a small dense real matrix.
+
+    LAPACK's ``dgees`` without sorting: T is quasi upper triangular, with a
+    2 x 2 diagonal block for each complex conjugate pair, and Z orthogonal.
+    Returns T, Z and the eigenvalues' real and imaginary parts ``wr``, ``wi``
+    in T's diagonal order, each conjugate pair adjacent with its positive
+    imaginary part first.  An iteration that does not converge raises
+    LinAlgError.
+    """
+    mat = np.asarray(mat, dtype=np.float64)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
+        raise ValueError(f"expected a nonempty square matrix, got {mat.shape}")
+    _finite_sumsq(mat, "matrix")
+    # the select function is not called without sorting; the block size
+    # per column of workspace lets the Hessenberg reduction block, as in _qr
+    (t, _, wr, wi, z, _), info = _lapack(dgees, lambda *_: 0, mat, lwork=64 * mat.shape[0])
+    if info:
+        raise np.linalg.LinAlgError("Schur iteration did not converge")
+    return t, z, wr, wi
+
+
+def reorder_schur(t, z, select):
+    """The invariant subspace of the selected eigenvalues of a real Schur form.
+
+    ``t``, ``z`` are :func:`real_schur`'s T and Z, and the nonzero entries of
+    ``select`` mark eigenvalues in T's diagonal order.  LAPACK's ``dtrsen``
+    (no condition numbers) moves them to the leading block, with the partner
+    of each marked value of a conjugate pair.  Returns that p x p block T11
+    and the p orthonormal columns Z1 of the reordered Z, ``mat Z1 = Z1 T11``
+    for p the count of moved values.  Eigenvalues too close to swap raise
+    LinAlgError.
+    """
+    _finite_sumsq(np.asarray(t, dtype=np.float64), "Schur form")
+    _finite_sumsq(np.asarray(z, dtype=np.float64), "Schur basis")
+    (ts, zs, _, _, p, _, _), info = _lapack(dtrsen, select, t, z, job="N")
+    if info:
+        raise np.linalg.LinAlgError("Schur form reordering failed on close eigenvalues")
+    return ts[:p, :p], zs[:, :p]
 
 
 def small_solve(mat, rhs):

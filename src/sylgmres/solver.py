@@ -5,12 +5,14 @@ global Arnoldi process on the current residual, minimizes the projected
 residual over the Krylov block subspace and restarts, optionally rebuilding
 the weight from the new residual.
 
-``wglgmres_dr`` adds deflated restarting: at each restart it extracts the
-harmonic Ritz pairs of smallest magnitude from the projected recurrence
-matrix, turns them into a real orthonormal set of recycled blocks together
-with the just-computed residual direction, and continues the Arnoldi process
-from that prefix instead of starting over.  All deflation failures degrade
-to a plain restart; they never abort a solve.
+``wglgmres_dr`` adds deflated restarting: at each restart it takes the
+real Schur form of the harmonic matrix of the projected recurrence, reorders
+it so that the harmonic Ritz values of smallest magnitude lead (a Krylov-Schur
+restart), and recycles the leading Schur vectors, an orthonormal real basis
+of their harmonic Ritz vectors that keeps each conjugate pair whole, together
+with the just-computed residual direction; the Arnoldi process continues from
+that prefix instead of starting over.  All deflation failures degrade to a
+plain restart; they never abort a solve.
 
 A cycle ends the solve when both values its CycleRecord holds meet the
 tolerance: the cheap projected estimate ``||c - H y||_2 / ||C||_D`` in the
@@ -40,13 +42,8 @@ import numpy as np
 from .arnoldi import ArnoldiDecomposition, arnoldi_extend
 from .arnoldi import arnoldi_run  # noqa: F401
 from .core import _TINY, as_block, basis_combine, frob, weighted_norm
-from .dense import (
-    EigenPairSet,
-    hessenberg_lsq,
-    reduced_qr,
-    small_eig,
-    small_solve,
-)
+from .dense import (EigenPairSet, hessenberg_lsq, real_schur, reduced_qr, reorder_schur,
+                    small_eig, small_solve)
 from .weighting import WeightStrategy, make_weight
 
 __all__ = [
@@ -65,9 +62,6 @@ __all__ = [
 # Eigenvalues of the inverted harmonic problem below this (relative) size
 # correspond to infinite harmonic values and are discarded.
 _INV_EIG_TOL = 1e-14
-# The restart residual must keep this fraction of its norm after
-# orthogonalization against the recycled directions to be usable.
-_RESTART_SPAN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -146,6 +140,40 @@ class SolveReport:
     traces: list | None = None
 
 
+def _harmonic_matrix(h):
+    """The matrix of the harmonic problem of H (see :func:`harmonic_pairs`).
+
+    Returns (matrix, inverted, e): the matrix is that of 2^-e H, and when
+    ``inverted`` is set it is the normal-matrix inverse, whose eigenvalues
+    mu give the harmonic values theta = 1 / mu.
+    """
+    h = np.asarray(h, dtype=np.float64)
+    if h.ndim != 2 or h.shape[0] != h.shape[1] + 1:
+        raise ValueError(f"expected an (m+1) x m matrix, got {h.shape}")
+    m = h.shape[1]
+    hsub = float(h[m, m - 1])
+    e = math.frexp(hsub)[1] if hsub and not _TINY <= hsub * hsub < math.inf else 0
+    hsub, h = math.ldexp(hsub, -e), np.ldexp(h, -e)
+    hm = h[:m, :]
+    try:
+        u = small_solve(hm.T, np.eye(m)[m - 1])
+    except np.linalg.LinAlgError:
+        # raises again if the pencil is singular
+        return small_solve(h.T @ h, hm.T), True, e
+    mat = hm.copy()
+    mat[:, m - 1] += hsub**2 * u
+    return mat, False, e
+
+
+def _finite_harmonic(mags):
+    """Mask of the inverted problem's eigenvalue magnitudes |mu| whose
+    harmonic values 1 / mu are finite."""
+    keep = mags > _INV_EIG_TOL * max(1.0, float(mags.max()))
+    if not keep.any():
+        raise np.linalg.LinAlgError("harmonic pencil has no finite eigenvalues")
+    return keep
+
+
 def harmonic_pairs(h):
     """Harmonic Ritz pairs of the projected recurrence matrix.
 
@@ -153,131 +181,94 @@ def harmonic_pairs(h):
     h_sub, the pairs are the eigenpairs of
     ``H_m + h_sub^2 * H_m^{-T} e_m e_m^T`` when H_m is regular; otherwise the
     generalized form ``theta * H_m^T g = (H^T H) g`` is solved through the
-    normal-matrix factorization, discarding infinite values.  Pairs come back
-    sorted ascending by magnitude, conjugate pairs adjacent.  An H whose
-    h_sub^2 would under- or overflow is solved at a power-of-two scale.
+    inverse ``(H^T H)^{-1} H_m^T``, discarding infinite values.  Pairs come
+    back sorted ascending by magnitude, conjugate pairs adjacent.  An H whose
+    h_sub^2 would under- or overflow is solved at a power-of-two scale 2^-e:
+    the values of 2^-e H are those of H times 2^-e, and both scalings are
+    exact.
     """
-    h = np.asarray(h, dtype=np.float64)
-    if h.ndim != 2 or h.shape[0] != h.shape[1] + 1:
-        raise ValueError(f"expected an (m+1) x m matrix, got {h.shape}")
-    m = h.shape[1]
-    hm = h[:m, :]
-    hsub = float(h[m, m - 1])
-    if hsub and not _TINY <= hsub * hsub < math.inf:
-        # the pairs of 2^-e H are those of H with the values times 2^-e,
-        # and both scalings are exact
-        e = math.frexp(hsub)[1]
-        pairs = harmonic_pairs(np.ldexp(h, -e))
-        return EigenPairSet(pairs.values * 2.0**e, pairs.vectors)
-    em = np.zeros(m)
-    em[m - 1] = 1.0
-    try:
-        u = small_solve(hm.T, em)
-    except np.linalg.LinAlgError:
-        normal = h.T @ h
-        inv_map = small_solve(normal, hm.T)  # raises again if the pencil is singular
-        inv_pairs = small_eig(inv_map)
-        mags = np.abs(inv_pairs.values)
-        keep = mags > _INV_EIG_TOL * max(1.0, float(mags.max()))
-        if not np.any(keep):
-            raise np.linalg.LinAlgError("harmonic pencil has no finite eigenvalues")
-        values = 1.0 / inv_pairs.values[keep]
+    mat, inverted, e = _harmonic_matrix(h)
+    pairs = small_eig(mat)
+    if inverted:
+        keep = _finite_harmonic(np.abs(pairs.values))
+        values = 1.0 / pairs.values[keep]
         order = np.argsort(np.abs(values), kind="stable")
-        return EigenPairSet(values[order], inv_pairs.vectors[:, keep][:, order])
-    mat = hm.copy()
-    mat[:, m - 1] += hsub**2 * u
-    return small_eig(mat)
+        pairs = EigenPairSet(values[order], pairs.vectors[:, keep][:, order])
+    return EigenPairSet(pairs.values * 2.0**e, pairs.vectors) if e else pairs
 
 
-def select_and_realify(pairs, k):
-    """The k smallest-magnitude pairs' eigenvectors as a real (m, k_eff) matrix.
+def select_and_realify(h, k):
+    """Orthonormal real (m, k_eff) basis of the harmonic Ritz vectors of the
+    k smallest-magnitude harmonic values of H.
 
-    Real pairs contribute their vector; each complex conjugate pair
-    contributes the two columns (Re g, Im g) exactly once.  If the cut would
-    split a conjugate pair, k grows by one so both enter (shrinking by one
-    instead when the grown k would exceed m - 2); k_eff is the column count.
+    The columns are the leading Schur vectors of the real Schur form of the
+    matrix whose eigenpairs :func:`harmonic_pairs` returns, reordered to lead
+    with those values (``dense.reorder_schur``), so a complex conjugate pair
+    enters whole: its columns span (Re g, Im g).  If the cut would split a
+    pair, k grows by one to take the partner too, and shrinks by one instead
+    when the grown k would exceed m - 2 or the count of finite values; k_eff
+    is the column count.  Raises LinAlgError when that leaves no column.
     """
     if k < 1:
         raise ValueError("selection count k must be >= 1")
-    values = pairs.values
-    vectors = pairs.vectors
-    m = vectors.shape[0]
-    cap = m - 2
-    k_sel = min(k, len(values), cap) if cap >= 1 else 0
+    mat, inverted, _ = _harmonic_matrix(h)
+    m = len(mat)
+    t, z, wr, wi = real_schur(mat)
+    mags = np.hypot(wr, wi)
+    if inverted:  # |theta| = 1 / |mu|, inf for the discarded values
+        mags = np.divide(1.0, mags, out=np.full(m, math.inf), where=_finite_harmonic(mags))
+    # a stable sort keeps the adjacent members of a conjugate pair, whose
+    # magnitudes are equal, adjacent
+    order = np.argsort(mags, kind="stable")
+    cap = min(int(np.isfinite(mags).sum()), m - 2)
+    k_sel = min(k, cap)
+    if k_sel == cap and wi[order[k_sel - 1]] > 0.0:  # splits a pair, no room to grow
+        k_sel -= 1
     if k_sel < 1:
-        raise np.linalg.LinAlgError("no harmonic pairs available for deflation")
-
-    vals = values.tolist()
-    cols = []
-    i = 0
-    while i < k_sel:
-        vec = vectors[:, i]
-        if vals[i].imag == 0.0:
-            cols.append(vec.real)
-            i += 1
-            continue
-        if i + 1 == k_sel:  # the cut splits this conjugate pair
-            if k_sel + 1 > min(cap, len(values)):
-                k_sel -= 1
-                break
-            k_sel += 1
-        conj = complex(vals[i]).conjugate()  # np.isclose(., conj, rtol=1e-8, atol=0) on scalars
-        if not abs(complex(vals[i + 1]) - conj) <= 1e-8 * abs(conj):
-            raise np.linalg.LinAlgError("conjugate partner of a complex harmonic value is missing")
-        cols.append(vec.real)
-        cols.append(vec.imag)
-        i += 2
-    if k_sel < 1:
-        raise np.linalg.LinAlgError("conjugate-pair adjustment left nothing to deflate")
-
-    # the columns of an F-ordered array, which LAPACK's QR takes without a copy
-    return np.array(cols).T
+        raise np.linalg.LinAlgError("no harmonic pairs left to deflate")
+    select = np.zeros(m, dtype=np.intc)
+    select[order[:k_sel]] = 1
+    return reorder_schur(t, z, select)[1]
 
 
-def restart_subspace(dec, g_real, r, out=None):
+def restart_subspace(dec, z, r, out=None):
     """Recycled blocks and projected recurrence for a deflated restart.
 
-    Orthonormalizes the realified harmonic columns ``g_real`` (the matrix
-    :func:`select_and_realify` returns), appends the normalized component of
-    the small residual vector ``r`` orthogonal to them, and maps both through
-    the current basis in one product: the returned stacked (k+1, n, s) blocks
-    span the harmonic Ritz block vectors plus the residual, and ``new_h``
-    restates the recurrence on that set.  The blocks are written into the
-    leading slots of ``out`` (a C-ordered float64 array of at least k+1
-    blocks of the basis's block shape; ValueError otherwise), or into a new
-    array when it is None.  ``out`` may overlap the basis, even be its own
-    workspace: numpy's matmul then reads a copy of the basis, so the blocks
-    are those of ``out=None``.
-    Raises LinAlgError when the harmonic columns are rank deficient or
-    ``r`` already lies in their span.
+    Appends to the orthonormal columns ``z`` (the matrix
+    :func:`select_and_realify` returns) the normalized component of the
+    small residual vector ``r`` orthogonal to them, by one reduced QR of
+    ``[z; 0 | r / ||r||]``, and maps the result through the current basis in
+    one product: the returned stacked (k+1, n, s) blocks span the harmonic
+    Ritz block vectors plus the residual, and ``new_h`` restates the
+    recurrence on that set.  The blocks are written into the leading slots
+    of ``out`` (a C-ordered float64 array of at least k+1 blocks of the
+    basis's block shape; ValueError otherwise), or into a new array when it
+    is None.  ``out`` may overlap the basis, even be its own workspace:
+    numpy's matmul then reads a copy of the basis, so the blocks are those
+    of ``out=None``.
+    Raises LinAlgError when ``r`` already lies in the span of ``z``, as a
+    zero ``r`` does.
     """
-    qg = reduced_qr(g_real)
-    kq = qg.shape[1]
-    if kq == 0:
-        raise np.linalg.LinAlgError("harmonic vectors are numerically rank deficient")
     r = np.asarray(r, dtype=np.float64)
     rows = dec.h.shape[0]
     if r.shape != (rows,):
         raise ValueError(f"residual vector must have length {rows}, got {r.shape}")
-
-    q = np.zeros((rows, kq + 1))
-    q[: qg.shape[0], :kq] = qg
-    q_ext = q[:, :kq]
-    v = r.copy()
-    for _ in range(2):
-        v -= q_ext @ (q_ext.T @ v)
-    nrm = frob(v)
-    if nrm <= _RESTART_SPAN_TOL * frob(r):
+    kz = z.shape[1]
+    a = np.zeros((rows, kz + 1))
+    a[:-1, :kz] = z
+    if r_norm := frob(r):
+        np.divide(r, r_norm, out=a[:, kz])
+    q = reduced_qr(a)
+    if q.shape[1] == kz:
         raise np.linalg.LinAlgError("residual direction already lies in the recycled span")
-    np.divide(v, nrm, out=q[:, kq])
 
-    new_h = q.T @ dec.h @ qg
-    shape = (kq + 1,) + dec.basis.shape[1:]
-    blocks = np.empty(shape) if out is None else out[: kq + 1]
+    new_h = q.T @ dec.h @ q[:-1, :kz]
+    shape = (kz + 1,) + dec.basis.shape[1:]
+    blocks = np.empty(shape) if out is None else out[: kz + 1]
     if blocks.shape != shape or blocks.dtype != np.float64 or not blocks.flags.c_contiguous:
         raise ValueError("restart workspace must be a C-ordered float64 array of at least "
-                         f"{kq + 1} blocks of shape {shape[1:]}")
-    np.matmul(q.T, dec.basis.reshape(rows, -1), out=blocks.reshape(kq + 1, -1))
+                         f"{kz + 1} blocks of shape {shape[1:]}")
+    np.matmul(q.T, dec.basis.reshape(rows, -1), out=blocks.reshape(kz + 1, -1))
     return blocks, new_h, q
 
 
@@ -414,8 +405,8 @@ def wglgmres_dr(op, c, cfg, x0=None):
         prefix = None
         if cfg.k > 0 and dec.breakdown is None and not sol.degenerate:
             try:
-                g_real = select_and_realify(harmonic_pairs(dec.h), cfg.k)
-                _, new_h, q = restart_subspace(dec, g_real, sol.residual, spare)
+                z = select_and_realify(dec.h, cfg.k)
+                _, new_h, q = restart_subspace(dec, z, sol.residual, spare)
                 prefix = (new_h, q.T @ sol.residual)
             except np.linalg.LinAlgError as exc:
                 events.append(f"cycle {cycle}: deflation skipped ({exc})")

@@ -19,7 +19,7 @@ from sylgmres.arnoldi import (
 from sylgmres.core import (Weight, apply_sylvester, diamond_product, frob, weighted_inner,
                            weighted_norm)
 from sylgmres.dense import hessenberg_lsq
-from sylgmres.solver import harmonic_pairs, restart_subspace, select_and_realify
+from sylgmres.solver import restart_subspace, select_and_realify
 from sylgmres.weighting import make_weight
 
 from conftest import random_block, random_operator
@@ -140,8 +140,8 @@ class TestArnoldiExtend:
         c = np.zeros(m + 1)
         c[0] = weighted_norm(v, w_old)
         sol = hessenberg_lsq(dec.h, c)
-        g_real = select_and_realify(harmonic_pairs(dec.h), k)
-        blocks, new_h, q = restart_subspace(dec, g_real, sol.residual)
+        z = select_and_realify(dec.h, k)
+        blocks, new_h, q = restart_subspace(dec, z, sol.residual)
         w_new = weight_new if weight_new is not None else w_old
         ext = extend_copy(blocks, new_h, op, w_new, m)
         return op, ext, w_old, w_new, len(blocks)
@@ -219,9 +219,9 @@ class TestWorkspaces:
         np.divide(v, c[0], out=first[0])
         dec = arnoldi_extend(first, np.zeros((1, 0)), op, w_old, second)
         sol = hessenberg_lsq(dec.h, c)
-        g_real = select_and_realify(harmonic_pairs(dec.h), self.K)
-        blocks, new_h, _ = restart_subspace(dec, g_real, sol.residual)
-        placed, placed_h, _ = restart_subspace(dec, g_real, sol.residual, second)
+        z = select_and_realify(dec.h, self.K)
+        blocks, new_h, _ = restart_subspace(dec, z, sol.residual)
+        placed, placed_h, _ = restart_subspace(dec, z, sol.residual, second)
         assert np.array_equal(blocks, placed) and np.array_equal(new_h, placed_h)
         assert np.shares_memory(placed, second) and not np.shares_memory(blocks, second)
         fresh = extend_copy(blocks, new_h, op, w_new, self.M)
@@ -343,8 +343,8 @@ def _deflated_prefix(rng, op, m, k):
     c = np.zeros(m + 1)
     c[0] = weighted_norm(v, w_old)
     sol = hessenberg_lsq(dec.h, c)
-    g_real = select_and_realify(harmonic_pairs(dec.h), k)
-    blocks, new_h, _ = restart_subspace(dec, g_real, sol.residual)
+    z = select_and_realify(dec.h, k)
+    blocks, new_h, _ = restart_subspace(dec, z, sol.residual)
     return blocks, new_h
 
 

@@ -45,7 +45,7 @@ class TestApplySylvester:
     @pytest.mark.parametrize("s", [DENSE_B_MAX_S, DENSE_B_MAX_S + 1])
     def test_dense_and_sparse_b_paths(self, s, rng):
         a = random_block(rng, 3, 3)
-        b = sp.random_array((s, s), density=0.05, rng=rng, format="csr")
+        b = sp.csr_array(sp.random(s, s, density=0.05, random_state=rng, format="csr"))
         op = SylvesterOperator(a, b)
         assert (op.b_dense is None) == (s > DENSE_B_MAX_S)
         x = random_block(rng, 3, s)

@@ -1,4 +1,5 @@
-"""Small dense kernels: Hessenberg least squares, reduced QR, eig, solve.
+"""Small dense kernels: Hessenberg least squares, reduced QR, eig, Schur
+forms, solve.
 
 The plane-rotation least squares and the modified Gram-Schmidt QR that the
 Householder kernels replaced stay here as references.
@@ -11,7 +12,9 @@ import scipy.linalg
 from sylgmres import dense
 from sylgmres.dense import (
     hessenberg_lsq,
+    real_schur,
     reduced_qr,
+    reorder_schur,
     small_eig,
     small_solve,
 )
@@ -295,6 +298,67 @@ class TestSmallEig:
             small_eig(np.array([[np.inf]]))
 
 
+class TestSchur:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_real_schur_factors_the_matrix(self, seed):
+        rng = np.random.default_rng(seed)
+        mat = rng.standard_normal((7, 7))
+        t, z, wr, wi = real_schur(mat)
+        assert np.abs(z.T @ z - np.eye(7)).max() <= 1e-14
+        assert np.linalg.norm(z @ t @ z.T - mat) <= 1e-13 * np.linalg.norm(mat)
+        # quasi triangular: a 2 x 2 diagonal block for each conjugate pair,
+        # positive imaginary part first
+        assert np.array_equal(np.tril(t, -2), np.zeros((7, 7)))
+        pair = wi > 0.0
+        assert np.array_equal(wi[1:][pair[:-1]], -wi[:-1][pair[:-1]])
+        assert np.array_equal(np.diagonal(t, -1) != 0.0, pair[:-1])
+        got = np.sort_complex(wr + 1j * wi)
+        assert np.allclose(got, np.sort_complex(np.linalg.eigvals(mat)), rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_reorder_spans_the_invariant_subspace(self, seed):
+        rng = np.random.default_rng(seed)
+        mat = rng.standard_normal((8, 8))
+        t, z, wr, wi = real_schur(mat)
+        select = np.zeros(8, dtype=np.intc)
+        select[np.argsort(np.hypot(wr, wi), kind="stable")[:3]] = 1
+        t11, z1 = reorder_schur(t, z, select)
+        p = z1.shape[1]
+        assert p in (3, 4) and t11.shape == (p, p)
+        assert np.abs(z1.T @ z1 - np.eye(p)).max() <= 1e-14
+        assert np.linalg.norm(mat @ z1 - z1 @ t11) <= 1e-12 * np.linalg.norm(mat)
+        # T11 carries the selected eigenvalues
+        chosen = np.sort(np.hypot(wr, wi))[:p]
+        assert np.allclose(np.sort(np.abs(np.linalg.eigvals(t11))), chosen, rtol=1e-10)
+
+    def test_partner_joins_a_split_pair(self, rng):
+        # eigenvalues 1, 2 +- i, 4, 5 under a random orthogonal similarity
+        blocks = scipy.linalg.block_diag([[1.0]], [[2.0, 1.0], [-1.0, 2.0]], [[4.0]], [[5.0]])
+        q = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+        mat = q @ blocks @ q.T
+        t, z, wr, wi = real_schur(mat)
+        for first in np.flatnonzero(wi > 0.0), np.flatnonzero(wi < 0.0):
+            select = (np.abs(wr - 1.0) < 1e-8).astype(np.intc)
+            select[first] = 1  # one member of the pair 2 +- i
+            t11, z1 = reorder_schur(t, z, select)
+            assert z1.shape == (5, 3)
+            assert np.linalg.norm(mat @ z1 - z1 @ t11) <= 1e-12 * np.linalg.norm(mat)
+            # the span of z1 is q's leading three columns
+            assert np.linalg.svd(q[:, 3:].T @ z1, compute_uv=False).max() <= 1e-12
+
+    def test_non_finite_input_rejected(self):
+        mat = np.array([[1.0, 2.0], [0.5, 3.0]])
+        t, z, _, _ = real_schur(mat)
+        select = np.array([1, 0], dtype=np.intc)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="matrix contains non-finite entries"):
+                real_schur(np.where(mat > 2.0, bad, mat))
+            with pytest.raises(ValueError, match="Schur form contains non-finite entries"):
+                reorder_schur(np.where(t == t[0, 1], bad, t), z, select)
+            with pytest.raises(ValueError, match="Schur basis contains non-finite entries"):
+                reorder_schur(t, np.full_like(z, bad), select)
+
+
 class TestSmallSolve:
     def test_identity(self, rng):
         rhs = rng.standard_normal((4, 2))
@@ -380,7 +444,7 @@ def _lsq_inputs():
 
 class TestBitwiseFrontEnds:
     """The LAPACK calls of the dense kernels give bitwise the results of the
-    scipy.linalg front ends they replace, in C and in F order."""
+    scipy.linalg front ends they replace or mirror, in C and in F order."""
 
     @pytest.mark.parametrize("order", ORDERS)
     def test_hessenberg_lsq(self, order):
@@ -431,6 +495,14 @@ class TestBitwiseFrontEnds:
         q, kept = front_end_qr(np.zeros(shape))
         assert reduced_qr(np.zeros(shape)).shape == q.shape == (shape[0], 0)
         assert kept == []
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("n", [1, 4, 10, 30])
+    def test_real_schur(self, order, n):
+        mat = order(np.random.default_rng(n).standard_normal((n, n)))
+        t, z, _, _ = real_schur(mat)
+        expect_t, expect_z = scipy.linalg.schur(mat)
+        assert np.array_equal(t, expect_t) and np.array_equal(z, expect_z)
 
     @pytest.mark.parametrize("order", ORDERS)
     def test_small_solve(self, order):
@@ -514,6 +586,8 @@ class TestRetainedChecks:
 @pytest.mark.parametrize("call, message", [
     (lambda: reduced_qr(np.ones(3)), "expected a 2-d matrix"),
     (lambda: small_eig(np.zeros((0, 0))), "matrix must be at least 1 x 1"),
+    (lambda: real_schur(np.zeros((0, 0))), r"expected a nonempty square matrix, got \(0, 0\)"),
+    (lambda: real_schur(np.ones((2, 3))), r"expected a nonempty square matrix, got \(2, 3\)"),
     (lambda: small_solve(np.ones((2, 3)), np.ones(2)), r"expected a square matrix, got \(2, 3\)"),
     (lambda: small_solve(np.eye(3), np.ones(2)),
      r"right-hand side rows 2 do not match matrix \(3, 3\)"),

@@ -301,7 +301,7 @@ class TestMatrixMarketRoundTrip:
         assert np.array_equal(first.data, second.data)
 
     def test_random_csr_round_trip(self, rng, tmp_path):
-        mat = sp.random_array((12, 12), density=0.2, rng=rng, format="csr")
+        mat = sp.csr_array(sp.random(12, 12, density=0.2, random_state=rng, format="csr"))
         out = tmp_path / "rand.mtx"
         write_matrix_market(mat, out)
         back = read_matrix_market(out)
@@ -365,7 +365,7 @@ class TestKronSolve:
         assert frob(apply_sylvester(op, x) - c) <= 1e-11 * frob(c)
 
     def test_size_guard(self):
-        op = SylvesterOperator(sp.eye_array(1025, format="csr"), np.eye(4))
+        op = SylvesterOperator(sp.csr_array(sp.identity(1025, format="csr")), np.eye(4))
         with pytest.raises(ValueError):
             kron_solve(op, np.ones((1025, 4)))
 

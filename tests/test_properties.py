@@ -135,8 +135,8 @@ def test_harmonic_pairs_with_singular_square_part(seed, m, data):
 
 
 def _pair_starts(values):
-    """Indices where select_and_realify's scan meets the first value of a
-    complex conjugate pair."""
+    """Indices of the first value of each complex conjugate pair in
+    ``values``, the order of harmonic_pairs."""
     starts, i = [], 0
     while i < len(values):
         if values[i].imag == 0.0:
@@ -186,8 +186,8 @@ def test_conjugate_pair_cut_at_k(seed, half, grow):
 
     seen = []
 
-    def recording(pairs, k_req):
-        out = select_and_realify(pairs, k_req)
+    def recording(h, k_req):
+        out = select_and_realify(h, k_req)
         seen.append((k_req, out.shape[1]))
         return out
 

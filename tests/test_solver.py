@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from sylgmres import (
@@ -22,7 +23,7 @@ from sylgmres.cli import COEFFICIENT_PRESETS
 import sylgmres.solver as solver_mod
 from sylgmres.core import (Weight, apply_sylvester, as_block, diamond_product, frob,
                            weighted_inner, weighted_norm)
-from sylgmres.dense import EigenPairSet, hessenberg_lsq
+from sylgmres.dense import hessenberg_lsq
 from sylgmres.problems import FdmSpec, fdm_matrix, gen_rhs
 from sylgmres.solver import restart_subspace, select_and_realify
 from sylgmres.weighting import STRATEGY_KINDS, make_weight
@@ -222,93 +223,135 @@ class TestHarmonicPairs:
                     i += 1
 
 
+def realified(pairs, p):
+    """The first p harmonic Ritz vectors as real columns: a real value's
+    vector, and (Re g, Im g) once for a conjugate pair."""
+    cols, i = [], 0
+    while len(cols) < p:
+        g = pairs.vectors[:, i]
+        cols += [g.real] if pairs.values[i].imag == 0.0 else [g.real, g.imag]
+        i += 1 if pairs.values[i].imag == 0.0 else 2
+    assert len(cols) == p, "the cut splits a conjugate pair"
+    return np.column_stack(cols)
+
+
+def largest_angle_sine(z, g):
+    """Sine of the largest principal angle between span(z), z orthonormal,
+    and span(g) of the same dimension."""
+    qg = np.linalg.qr(g)[0]
+    return np.linalg.svd(qg - z @ (z.T @ qg), compute_uv=False).max()
+
+
+def spectrum_hessenberg(rng, blocks):
+    """(m+1) x m matrix with h_sub = 0 whose square part is ``blocks`` under a
+    random orthogonal similarity: its harmonic values are the eigenvalues of
+    ``blocks``.  Returns it and the similarity."""
+    hm = scipy.linalg.block_diag(*blocks)
+    m = hm.shape[0]
+    q = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    return np.vstack([q @ hm @ q.T, np.zeros((1, m))]), q
+
+
 class TestSelectAndRealify:
-    def _real_pairs(self, values, vectors):
-        return EigenPairSet(np.asarray(values, complex), np.asarray(vectors, complex))
+    def check_span(self, h, k):
+        z = select_and_realify(h, k)
+        p = z.shape[1]
+        assert z.dtype == np.float64 and z.shape[0] == h.shape[1]
+        assert np.abs(z.T @ z - np.eye(p)).max() <= 1e-13
+        assert largest_angle_sine(z, realified(harmonic_pairs(h), p)) <= 1e-8
+        return z
 
-    def test_all_real_unchanged(self, rng):
-        vecs = np.linalg.qr(rng.standard_normal((6, 6)))[0]
-        pairs = self._real_pairs([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], vecs)
-        g_real = select_and_realify(pairs, 2)
-        assert g_real.shape[1] == 2
-        assert np.allclose(g_real, vecs[:, :2].real)
-
-    def test_split_conjugate_pair_grows(self, rng):
-        g = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        g /= np.linalg.norm(g)
-        values = [1.0, 2.0 + 1.0j, 2.0 - 1.0j, 4.0]
-        vectors = np.column_stack([rng.standard_normal(6), g, np.conj(g),
-                                   rng.standard_normal(6)])
-        pairs = self._real_pairs(values, vectors)
-        g_real = select_and_realify(pairs, 2)  # cut splits the pair, k grows to 3
-        assert g_real.shape[1] == 3
-        assert np.allclose(g_real[:, 1], g.real)
-        assert np.allclose(g_real[:, 2], g.imag)
-
-    def test_leading_conjugate_pair_deduplicated(self, rng):
-        g = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        values = [1.0 + 0.5j, 1.0 - 0.5j, 3.0]
-        vectors = np.column_stack([g, np.conj(g), rng.standard_normal(5)])
-        g_real = select_and_realify(self._real_pairs(values, vectors), 2)
-        assert g_real.shape == (5, 2)
-
-    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("seed", range(8))
     def test_selected_vectors_in_real_span(self, seed):
         rng = np.random.default_rng(seed)
-        h = np.triu(rng.standard_normal((8, 7)), -1)
-        pairs = harmonic_pairs(h)
-        g_real = select_and_realify(pairs, 3)
-        for i in range(g_real.shape[1]):  # the selected pairs lead ``pairs``
-            g = pairs.vectors[:, i]
-            coeff = np.linalg.lstsq(g_real.astype(complex), g, rcond=None)[0]
-            assert np.linalg.norm(g_real @ coeff - g) <= 1e-10
+        h = random_hessenberg(rng, 7)
+        for k in (1, 3, 5):
+            assert self.check_span(h, k).shape[1] in (k - 1, k, k + 1)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_spans_the_harmonic_vectors_of_a_singular_square_part(self, seed):
+        rng = np.random.default_rng(seed)
+        h = random_hessenberg(rng, 7)
+        h[:7, 6] = -2.0 * h[:7, 1]  # H_m (2 e_1 + e_6) = 0
+        with pytest.raises(np.linalg.LinAlgError):
+            solver_mod.small_solve(h[:7].T, np.eye(7)[6])
+        for k in (1, 3, 5):
+            self.check_span(h, k)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("e", [-600, 540])
+    def test_spans_where_h_sub_squared_leaves_the_range(self, e, rng):
+        h = random_hessenberg(rng, 6)
+        z = self.check_span(2.0**e * h, 3)
+        assert largest_angle_sine(z, select_and_realify(h, 3)) <= 1e-8
+
+    def test_all_real_unchanged(self, rng):
+        h, q = spectrum_hessenberg(rng, [[[v]] for v in (4.0, -1.0, 6.0, 2.0, -5.0, 3.0)])
+        z = select_and_realify(h, 2)
+        assert z.shape == (6, 2)
+        assert largest_angle_sine(z, q[:, [1, 3]]) <= 1e-12
+
+    def test_split_conjugate_pair_grows(self, rng):
+        h, q = spectrum_hessenberg(rng, [[[1.0]], [[2.0, 1.0], [-1.0, 2.0]], [[4.0]],
+                                         [[5.0]], [[6.0]]])
+        z = select_and_realify(h, 2)  # cut splits the pair, k grows to 3
+        assert z.shape == (6, 3)
+        assert largest_angle_sine(z, q[:, :3]) <= 1e-12
+
+    def test_leading_conjugate_pair_deduplicated(self, rng):
+        h, q = spectrum_hessenberg(rng, [[[1.0, 0.5], [-0.5, 1.0]], [[3.0]], [[4.0]]])
+        z = select_and_realify(h, 1)  # grows to the pair
+        assert z.shape == (4, 2)
+        assert largest_angle_sine(z, q[:, :2]) <= 1e-12
+        assert select_and_realify(h, 2).shape == (4, 2)
 
     def test_cap_at_m_minus_two(self, rng):
-        g = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        values = [1.0, 2.0 + 1j, 2.0 - 1j, 5.0]
-        vectors = np.column_stack([rng.standard_normal(4), g, np.conj(g),
-                                   rng.standard_normal(4)])
-        # m = 4 so cap is 2; the cut at k=2 splits the pair and must shrink
-        g_real = select_and_realify(self._real_pairs(values, vectors), 2)
-        assert g_real.shape[1] == 1
+        # m = 4, so the cap is 2; the cut at k = 2 splits the pair and must shrink
+        h, q = spectrum_hessenberg(rng, [[[1.0]], [[2.0, 1.0], [-1.0, 2.0]], [[5.0]]])
+        z = select_and_realify(h, 2)
+        assert z.shape == (4, 1)
+        assert largest_angle_sine(z, q[:, :1]) <= 1e-12
 
     def test_refusals(self, rng):
-        g = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        with pytest.raises(np.linalg.LinAlgError, match="no harmonic pairs available"):
+        with pytest.raises(np.linalg.LinAlgError, match="no harmonic pairs left to deflate"):
             # m = 2 leaves no room below the cap m - 2
-            select_and_realify(self._real_pairs([1.0, 2.0], np.eye(2)), 1)
-        with pytest.raises(np.linalg.LinAlgError, match="conjugate partner of a complex"):
-            values = [1.0 + 1j, 2.0, 3.0, 4.0, 5.0, 6.0]
-            vectors = np.column_stack([g] + [rng.standard_normal(6)] * 5)
-            select_and_realify(self._real_pairs(values, vectors), 2)
-        with pytest.raises(np.linalg.LinAlgError, match="left nothing to deflate"):
+            select_and_realify(random_hessenberg(rng, 2), 1)
+        with pytest.raises(np.linalg.LinAlgError, match="no harmonic pairs left to deflate"):
             # m = 3, so the cap is 1 and the cut pair cannot grow
-            values = [1.0 + 1j, 1.0 - 1j, 3.0]
-            vectors = np.column_stack([g[:3], np.conj(g[:3]), rng.standard_normal(3)])
-            select_and_realify(self._real_pairs(values, vectors), 1)
+            h, _ = spectrum_hessenberg(rng, [[[1.0, 1.0], [-1.0, 1.0]], [[3.0]]])
+            select_and_realify(h, 1)
 
 
 class TestRestartSubspace:
     def test_new_basis_weight_orthonormal(self, rng):
         w = Weight.diagonal(rng.uniform(0.4, 2.5, 10), 2)
         op, c, w, beta, dec, sol = run_one_cycle(rng, m=6, weight=w)
-        g_real = select_and_realify(harmonic_pairs(dec.h), 2)
-        blocks, new_h, q = restart_subspace(dec, g_real, sol.residual)
+        z = select_and_realify(dec.h, 2)
+        blocks, new_h, q = restart_subspace(dec, z, sol.residual)
         gram = diamond_product(blocks, blocks, w)
         assert np.abs(gram - np.eye(len(blocks))).max() <= 1e-12
+
+    def test_leading_columns_are_z(self, rng):
+        op, c, w, beta, dec, sol = run_one_cycle(rng, m=6)
+        z = select_and_realify(dec.h, 2)
+        _, _, q = restart_subspace(dec, z, sol.residual)
+        assert q.shape == (7, z.shape[1] + 1)
+        assert np.abs(q[:-1, :-1] - z).max() <= 1e-14
+        assert np.abs(q[-1, :-1]).max() <= 1e-14
+        # the last column is the residual's normalized component off span(z)
+        v = sol.residual - q[:, :-1] @ (q[:, :-1].T @ sol.residual)
+        assert np.allclose(q[:, -1], v / np.linalg.norm(v), rtol=0.0, atol=1e-13)
 
     def test_single_real_vector_is_normalized_combination(self, rng):
         op, c, w, beta, dec, sol = run_one_cycle(rng, m=6)
         pairs = harmonic_pairs(dec.h)
-        # find a real harmonic vector to make the single-column case exact
+        # a real harmonic vector makes the single-column case exact
         real_idx = [i for i in range(len(pairs)) if pairs.values[i].imag == 0.0]
         if not real_idx:
             pytest.skip("no real harmonic value in this draw")
         g = pairs.vectors[:, real_idx[0]].real
-        g_real = select_and_realify(
-            EigenPairSet(pairs.values[real_idx[:1]], pairs.vectors[:, real_idx[:1]]), 1)
-        blocks, new_h, q = restart_subspace(dec, g_real, sol.residual)
         gn = g / np.linalg.norm(g)
+        blocks, new_h, q = restart_subspace(dec, gn[:, None], sol.residual)
         expect = sum(gn[i] * dec.basis[i] for i in range(6))
         assert min(frob(blocks[0] - expect), frob(blocks[0] + expect)) <= 1e-10
 
@@ -316,8 +359,8 @@ class TestRestartSubspace:
     def test_restart_relation(self, seed):
         rng = np.random.default_rng(seed)
         op, c, w, beta, dec, sol = run_one_cycle(rng, n=12, s=2, m=6)
-        g_real = select_and_realify(harmonic_pairs(dec.h), 2)
-        blocks, new_h, q = restart_subspace(dec, g_real, sol.residual)
+        z = select_and_realify(dec.h, 2)
+        blocks, new_h, q = restart_subspace(dec, z, sol.residual)
         scale = max(frob(apply_sylvester(op, b)) for b in blocks)
         for j in range(new_h.shape[1]):
             lhs = apply_sylvester(op, blocks[j])
@@ -326,31 +369,25 @@ class TestRestartSubspace:
 
     def test_residual_in_span_rejected(self, rng):
         op, c, w, beta, dec, sol = run_one_cycle(rng, m=6)
-        g_real = select_and_realify(harmonic_pairs(dec.h), 2)
-        blocks, new_h, q = restart_subspace(dec, g_real, sol.residual)
+        z = select_and_realify(dec.h, 2)
+        blocks, new_h, q = restart_subspace(dec, z, sol.residual)
         inside = q[:, 0] * 0.3 - 0.7 * q[:, 1]  # lies in the recycled span
-        with pytest.raises(np.linalg.LinAlgError):
-            restart_subspace(dec, g_real, inside)
+        for r in (inside, np.zeros_like(inside)):
+            with pytest.raises(np.linalg.LinAlgError, match="already lies in the recycled span"):
+                restart_subspace(dec, z, r)
 
     def test_residual_length_checked(self, rng):
         op, c, w, beta, dec, sol = run_one_cycle(rng, m=6)
-        g_real = select_and_realify(harmonic_pairs(dec.h), 2)
+        z = select_and_realify(dec.h, 2)
         with pytest.raises(ValueError, match=r"residual vector must have length 7, got \(6,\)"):
-            restart_subspace(dec, g_real, sol.residual[:6])
-
-    def test_rank_zero_harmonic_columns_rejected(self, rng):
-        # reduced_qr keeps no column of an all-zero set: its q is m x 0
-        op, c, w, beta, dec, sol = run_one_cycle(rng, m=6)
-        g_real = select_and_realify(harmonic_pairs(dec.h), 2)
-        with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
-            restart_subspace(dec, np.zeros_like(g_real), sol.residual)
+            restart_subspace(dec, z, sol.residual[:6])
 
     @pytest.mark.parametrize("scale", [1e-200, 1e200])
     def test_residual_scale_does_not_matter(self, rng, scale):
         op, c, w, beta, dec, sol = run_one_cycle(rng, m=6)
-        g_real = select_and_realify(harmonic_pairs(dec.h), 2)
-        unit = restart_subspace(dec, g_real, sol.residual)
-        scaled = restart_subspace(dec, g_real, scale * sol.residual)
+        z = select_and_realify(dec.h, 2)
+        unit = restart_subspace(dec, z, sol.residual)
+        scaled = restart_subspace(dec, z, scale * sol.residual)
         for a, b in zip(unit, scaled):
             assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
 
@@ -358,28 +395,28 @@ class TestRestartSubspace:
         # numpy's matmul reads a copy of an operand that overlaps its output,
         # so blocks written over the basis's own workspace are those of out=None
         op, c, w, beta, dec, sol = run_one_cycle(rng, n=12, s=2, m=6)
-        g_real = select_and_realify(harmonic_pairs(dec.h), 2)
-        expect = restart_subspace(dec, g_real, sol.residual)
+        z = select_and_realify(dec.h, 2)
+        expect = restart_subspace(dec, z, sol.residual)
         workspace = dec.basis.base
         assert workspace.shape == (7, 12, 2) and workspace.flags.writeable
-        got = restart_subspace(dec, g_real, sol.residual, workspace)
+        got = restart_subspace(dec, z, sol.residual, workspace)
         assert np.shares_memory(got[0], dec.basis)
         for a, b in zip(got, expect):
             assert np.array_equal(a, b)
 
     def test_workspace_validated(self, rng):
         op, c, w, beta, dec, sol = run_one_cycle(rng, n=12, s=2, m=6)
-        g_real = select_and_realify(harmonic_pairs(dec.h), 2)
-        blocks, _, _ = restart_subspace(dec, g_real, sol.residual)
+        z = select_and_realify(dec.h, 2)
+        blocks, _, _ = restart_subspace(dec, z, sol.residual)
         shape = (7, 12, 2)
-        placed, _, _ = restart_subspace(dec, g_real, sol.residual, np.empty(shape))
+        placed, _, _ = restart_subspace(dec, z, sol.residual, np.empty(shape))
         assert np.array_equal(placed, blocks)
         # the product into an F-ordered workspace would land in a reshaped
         # copy of it and leave the workspace unwritten
         for out in (np.empty(shape, order="F"), np.empty(shape, dtype=np.float32),
                     np.empty((len(blocks) - 1, 12, 2)), np.empty((7, 2, 12))):
             with pytest.raises(ValueError, match="workspace"):
-                restart_subspace(dec, g_real, sol.residual, out)
+                restart_subspace(dec, z, sol.residual, out)
 
 
 class TestCollinearity:
@@ -559,7 +596,7 @@ class TestWglgmresDr:
         def no_convergence(mat):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(solver_mod, "small_eig", no_convergence)
+        monkeypatch.setattr(solver_mod, "real_schur", no_convergence)
         op = SylvesterOperator(fdm_matrix(FdmSpec(8, *COEFFICIENT_PRESETS["varcoef1"])),
                                fdm_matrix(FdmSpec(2, *COEFFICIENT_PRESETS["varcoef2"])))
         c = gen_rhs(op.n, op.s, 7)
@@ -575,6 +612,21 @@ class TestWglgmresDr:
         assert np.array_equal(rep.x, plain.x)
         assert ([replace(h, wall_s=0.0) for h in rep.history]
                 == [replace(h, wall_s=0.0) for h in plain.history])
+
+    def test_deflation_needs_no_eigenvectors(self, monkeypatch):
+        # the restart takes the ordered real Schur form, not eigenpairs
+        def refused(mat):
+            raise AssertionError("a deflated solve computed eigenvectors")
+
+        monkeypatch.setattr(solver_mod, "small_eig", refused)
+        monkeypatch.setattr(np.linalg, "eig", refused)
+        op = SylvesterOperator(fdm_matrix(FdmSpec(8, *COEFFICIENT_PRESETS["varcoef1"])),
+                               fdm_matrix(FdmSpec(2, *COEFFICIENT_PRESETS["varcoef2"])))
+        cfg = SolverConfig(m=10, k=5, tol=1e-10, strategy=WeightStrategy("mean"),
+                           record_cycles=True)
+        rep = wglgmres_dr(op, gen_rhs(op.n, op.s, 7), cfg)
+        assert rep.converged and rep.cycles >= 3 and rep.breakdowns == []
+        assert all(t.prefix_blocks > 1 for t in rep.traces[1:])
 
     @pytest.mark.parametrize("k", [0, 4])
     @pytest.mark.parametrize("strat", [
@@ -916,7 +968,7 @@ class TestBasisWorkspaces:
                              x0=np.ones((2, 6))),
      r"initial guess shape \(2, 6\) does not match operator \(6, 2\)"),
     (lambda rng: harmonic_pairs(np.eye(3)), r"expected an \(m\+1\) x m matrix, got \(3, 3\)"),
-    (lambda rng: select_and_realify(harmonic_pairs(random_hessenberg(rng, 5)), 0),
+    (lambda rng: select_and_realify(random_hessenberg(rng, 5), 0),
      "selection count k must be >= 1"),
 ])
 def test_input_refusals(call, message, rng):
